@@ -27,10 +27,7 @@ from .numerics import (
     Parameter,
     RngState,
     Tensor,
-    cosine_similarity,
     finite_difference_gradient,
-    layer_norm,
-    sample_gumbel_softmax,
     softmax,
 )
 from .training import TrainConfig, TrainResult, adam_step, train

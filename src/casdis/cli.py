@@ -98,17 +98,14 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < flags that were actually given."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
+def given_config(args: argparse.Namespace) -> dict:
+    """The values set explicitly: config file < flags that were actually given."""
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
-    merged["command"] = args.command
-    return merged
+            given[key] = flag
+    return given
 
 
 def write_resolved_config(out_dir: Path, config: dict) -> None:
@@ -199,26 +196,35 @@ def cmd_train(config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_eval(config: dict) -> int:
+def cmd_eval(config: dict, given: dict) -> int:
+    """Rank the test part of the split the checkpoint was trained on.
+
+    Seed, K and D come from the checkpoint; a value given explicitly (flag
+    or config file) that disagrees with it is a mismatch.
+    """
     ckpt_path = config.get("checkpoint")
     if not ckpt_path:
         raise CliError(EXIT_USAGE, "--checkpoint is required")
     parsed = _read_data(config)
     try:
-        params, _seed = load_checkpoint(ckpt_path)
+        params, seed = load_checkpoint(ckpt_path)
     except OSError as err:
         raise CliError(EXIT_INPUT, f"cannot read checkpoint {ckpt_path}: {err}")
+    except ValueError as err:
+        raise CliError(EXIT_MISMATCH, str(err))
     if params.num_nodes != parsed.vocabulary.size:
         raise CliError(
             EXIT_MISMATCH,
             f"checkpoint expects N={params.num_nodes} nodes but data has N={parsed.vocabulary.size}",
         )
-    for key, have in (("k", params.factors), ("d", params.dim)):
-        if config.get(key) not in (None, DEFAULTS[key], have):
+    stored = {"seed": seed, "k": params.factors, "d": params.dim}
+    for key, have in stored.items():
+        if given.get(key, have) != have:
             raise CliError(
                 EXIT_MISMATCH,
-                f"checkpoint has {key.upper()}={have} but --{key} {config[key]} was requested",
+                f"checkpoint has {key}={have} but {key}={given[key]} was requested",
             )
+    config = dict(config, **stored)
 
     out_dir = _ensure_out_dir(config)
     write_resolved_config(out_dir, config)
@@ -349,14 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {"train": cmd_train, "eval": cmd_eval, "ablate": cmd_ablate, "synth": cmd_synth}
+_COMMANDS = {"train": cmd_train, "ablate": cmd_ablate, "synth": cmd_synth}
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    config = resolve_config(args)
     try:
+        given = given_config(args)
+        config = dict(DEFAULTS, **given, command=args.command)
+        if args.command == "eval":
+            return cmd_eval(config, given)
         return _COMMANDS[args.command](config)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,8 +6,8 @@ nodes, find the rank of the true next node, aggregate hits@N and map@N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ class EvalReport:
     hits: Dict[int, float]
     maps: Dict[int, float]
     prediction_points: int
-    per_cascade: List[Tuple[int, int]] = field(default_factory=list)  # (cascade idx, points)
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
@@ -56,21 +55,17 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
     return float(np.where(r <= n, 1.0 / r, 0.0).mean())
 
 
-def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]):
+def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
     """Target ranks for every prefix of every cascade, evaluation mode."""
     all_ranks: List[int] = []
-    per_cascade: List[Tuple[int, int]] = []
-    for ci, cascade in enumerate(cascades):
+    for cascade in cascades:
         if len(cascade) < 2:
             continue
         idx = np.asarray(cascade, dtype=np.intp)
         scores = prefix_scores(params, idx[:-1])
-        points = 0
         for t in range(len(idx) - 1):
             all_ranks.append(rank_of_target(scores[t], idx[t + 1]))
-            points += 1
-        per_cascade.append((ci, points))
-    return all_ranks, per_cascade
+    return all_ranks
 
 
 def evaluate(
@@ -81,14 +76,13 @@ def evaluate(
     """hits@N and map@N over all prediction points of ``cascades``."""
     if not cascades:
         raise ValueError("evaluate needs a non-empty cascade list")
-    ranks, per_cascade = collect_ranks(params, cascades)
+    ranks = collect_ranks(params, cascades)
     if not ranks:
         raise ValueError("no prediction points (all cascades shorter than 2)")
     return EvalReport(
         hits={n: hits_at_n(ranks, n) for n in n_values},
         maps={n: map_at_n(ranks, n) for n in n_values},
         prediction_points=len(ranks),
-        per_cascade=per_cascade,
     )
 
 

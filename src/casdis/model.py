@@ -7,6 +7,10 @@ optionally sharpened with Gumbel noise during training); the doubly-weighted,
 layer-normalized sums give K candidate states per step, and candidates are
 scored against the shared node-embedding table with a max-over-factors
 softmax loss.
+
+``_forward_positions`` is the single definition of the model: training,
+validation, evaluation and prediction all run it, over every prefix of a
+cascade at once.  The test suite pins it to a straight-line numpy oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,15 +33,26 @@ class DegenerateCascadeError(Exception):
 
 @dataclass
 class GumbelConfig:
-    """Where and how factor-assignment noise is injected during training."""
+    """Factor-assignment noise for training; pass ``None`` to train without it."""
 
     tau: float = 1.0
-    enabled_in_training: bool = True
     rng: Optional[RngState] = None
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+
+
+_PARAM_NAMES = (
+    "embeddings", "w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h",
+    "prototypes", "ln_gain", "ln_bias",
+)
+
+
+def _param_shapes(num_nodes: int, dim: int, factors: int):
+    """Shape of every parameter, in ``_PARAM_NAMES`` order."""
+    gru = [(dim, dim), (dim, dim), (dim,)] * 3
+    return [(num_nodes + 1, dim), *gru, (factors, dim), (dim,), (dim,)]
 
 
 @dataclass
@@ -70,14 +85,7 @@ class ModelParams:
         return self.num_nodes
 
     def named_parameters(self):
-        return [
-            ("embeddings", self.embeddings),
-            ("w_z", self.w_z), ("u_z", self.u_z), ("b_z", self.b_z),
-            ("w_r", self.w_r), ("u_r", self.u_r), ("b_r", self.b_r),
-            ("w_h", self.w_h), ("u_h", self.u_h), ("b_h", self.b_h),
-            ("prototypes", self.prototypes),
-            ("ln_gain", self.ln_gain), ("ln_bias", self.ln_bias),
-        ]
+        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
@@ -144,131 +152,15 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
 
 # ---------------------------------------------------------------------------
-# single-step operations (also the oracle path for the fused forward below)
-
-
-def _gru_cell(params: ModelParams, h_prev, x) -> Tensor:
-    """One recurrence: update gate z, reset gate r, candidate state, blend.
-
-    h' = (1 - z) * h + z * tanh(W_h x + U_h (r * h) + b_h)
-    """
-    z = nm.sigmoid(nm.add(nm.add(nm.matmul(x, params.w_z), nm.matmul(h_prev, params.u_z)), params.b_z))
-    r = nm.sigmoid(nm.add(nm.add(nm.matmul(x, params.w_r), nm.matmul(h_prev, params.u_r)), params.b_r))
-    cand = nm.tanh(nm.add(nm.add(nm.matmul(x, params.w_h), nm.matmul(nm.mul(r, h_prev), params.u_h)), params.b_h))
-    return nm.add(nm.mul(nm.sub(1.0, z), h_prev), nm.mul(z, cand))
-
-
-def gru_step(params: ModelParams, h_prev, node_index: int) -> Tensor:
-    """Advance the hidden state by one infected node."""
-    idx = int(node_index)
-    if not 0 <= idx < params.num_nodes:
-        raise ValueError(f"node index {idx} out of range [0, {params.num_nodes})")
-    return _gru_cell(params, h_prev, nm.pick(params.embeddings, idx))
-
-
-def encode_sequence(params: ModelParams, indices: Sequence[int]) -> Tensor:
-    """Run the GRU over a node sequence; returns the (t, D) stack of states."""
-    h = np.zeros(params.dim)
-    states = []
-    for idx in indices:
-        h = gru_step(params, h, idx)
-        states.append(h)
-    return nm.stack_rows(states)
-
-
-def sequential_attention(hidden: Tensor) -> Tensor:
-    """Weights over the history: softmax_i of h_i . h_t / sqrt(D), i = 1..t.
-
-    The current position attends to itself as well.
-    """
-    t, d = _data_shape(hidden)
-    if t < 1:
-        raise ValueError("sequential_attention needs at least one hidden state")
-    scores = nm.matmul(hidden, nm.pick(hidden, t - 1))
-    return nm.softmax_rows(scores, scale=1.0 / math.sqrt(d))
-
-
-def disentangled_attention(
-    hidden: Tensor,
-    params: ModelParams,
-    gumbel: Optional[GumbelConfig] = None,
-    training: bool = False,
-) -> Tensor:
-    """Per-position factor weights: softmax_k of cos(h_i, p_k) / sqrt(D).
-
-    During training with Gumbel enabled, the softmax is replaced by a soft
-    Gumbel-softmax sample on the same logits (temperature ``gumbel.tau``);
-    evaluation always uses the deterministic softmax.
-    """
-    scale = 1.0 / math.sqrt(params.dim)
-    cos = nm.dot_rows(nm.unit_rows(hidden), nm.unit_rows(params.prototypes))
-    if training and gumbel is not None and gumbel.enabled_in_training:
-        if gumbel.rng is None:
-            raise ValueError("gumbel noise requested but no rng given")
-        noisy = nm.add(nm.mul(cos, scale), nm.gumbel_noise(cos.shape, gumbel.rng))
-        return nm.softmax_rows(noisy, scale=1.0 / gumbel.tau)
-    return nm.softmax_rows(cos, scale=scale)
-
-
-def aggregate(hidden: Tensor, alpha: Tensor, beta: Tensor, params: ModelParams) -> Tensor:
-    """K layer-normalized states: y_k = LN(sum_i alpha_i * beta_ik * h_i)."""
-    t, _ = _data_shape(hidden)
-    if alpha.shape != (t,) or beta.shape[0] != t:
-        raise ValueError(
-            f"shape mismatch: hidden {hidden.shape}, alpha {alpha.shape}, beta {beta.shape}"
-        )
-    mixed = nm.weighted_mix(nm.reshape(alpha, (1, t)), beta, hidden)
-    ys = nm.reshape(mixed, (beta.shape[1], params.dim))
-    return nm.layer_norm_rows(ys, params.ln_gain, params.ln_bias)
-
-
-def score_candidates(ys: Tensor, params: ModelParams) -> Tensor:
-    """score_v = max_k x_v . y_k / sqrt(D) over the real (non-pad) nodes.
-
-    The embedding table is tied: the same rows encode inputs and score
-    candidates.
-    """
-    real = nm.gather_rows(params.embeddings, np.arange(params.num_nodes))
-    scores = nm.mul(nm.dot_rows(ys, real), 1.0 / math.sqrt(params.dim))
-    return nm.max_over_axis(scores, axis=0)
-
-
-def step_loss(ys: Tensor, target_node: int, params: ModelParams) -> Tensor:
-    """-log softmax(scores)[target]; gradient flows through the argmax factor."""
-    tgt = int(target_node)
-    if not 0 <= tgt < params.num_nodes:
-        raise ValueError(f"target node {tgt} out of range [0, {params.num_nodes})")
-    scores = score_candidates(ys, params)
-    return nm.sub(nm.logsumexp(scores), nm.pick(scores, tgt))
-
-
-# ---------------------------------------------------------------------------
 # fused whole-cascade forward
 
 
 @dataclass
 class CascadeForward:
-    """Result of one cascade pass: loss graph root plus detached views."""
+    """Result of one cascade pass: loss graph root plus detached step losses."""
 
     loss: Tensor                 # scalar, sum of per-step losses
     step_losses: np.ndarray      # (t,)
-    states: np.ndarray           # (t, K, D) layer-normalized factor states
-    scores: np.ndarray           # (t, N) candidate scores per prediction point
-
-
-_TRIL_CACHE: dict = {}
-
-
-def _tril(t: int) -> np.ndarray:
-    mask = _TRIL_CACHE.get(t)
-    if mask is None:
-        mask = np.tril(np.ones((t, t), dtype=bool))
-        _TRIL_CACHE[t] = mask
-    return mask
-
-
-def _data_shape(x):
-    return (x.data.shape if isinstance(x, Tensor) else np.asarray(x).shape)
 
 
 def _forward_positions(
@@ -279,9 +171,9 @@ def _forward_positions(
     dropout_rate: float,
     dropout_rng: Optional[RngState],
 ):
-    """All prefixes of ``positions`` in one pass.
+    """Candidate scores for all prefixes of ``positions`` in one pass.
 
-    Row t of the returned score tensor belongs to the prefix of length t+1.
+    Row t of the returned (t, N) score tensor belongs to the prefix of length t+1.
     Factor weights are computed once per position (they do not depend on the
     prefix length), and attention rows are masked to i <= t.
     """
@@ -311,10 +203,11 @@ def _forward_positions(
         states.append(h)
     hidden = nm.stack_rows(states)
 
-    attn = nm.softmax_rows(nm.dot_rows(hidden, hidden), mask=_tril(t_total), scale=scale)
+    causal = np.tri(t_total, dtype=bool)
+    attn = nm.softmax_rows(nm.dot_rows(hidden, hidden), mask=causal, scale=scale)
 
     cos = nm.dot_rows(nm.unit_rows(hidden), nm.unit_rows(params.prototypes))
-    if training and gumbel is not None and gumbel.enabled_in_training:
+    if training and gumbel is not None:
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
         noisy = nm.add(nm.mul(cos, scale), nm.gumbel_noise(cos.shape, gumbel.rng))
@@ -328,7 +221,7 @@ def _forward_positions(
     real = nm.gather_rows(params.embeddings, np.arange(params.num_nodes))
     per_factor = nm.mul(nm.dot_rows(ys, real), scale)   # (t, K, N)
     scores = nm.max_over_axis(per_factor, axis=1)       # (t, N)
-    return ys, scores
+    return scores
 
 
 def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
@@ -359,18 +252,13 @@ def forward_cascade(
         raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
     _check_indices(params, idx)
 
-    ys, scores = _forward_positions(
+    scores = _forward_positions(
         params, idx[:-1], gumbel, training, dropout_rate, dropout_rng
     )
     targets = idx[1:]
     steps = nm.sub(nm.logsumexp(scores), nm.take_per_row(scores, targets))
     loss = nm.sum_all(steps)
-    return CascadeForward(
-        loss=loss,
-        step_losses=steps.data.copy(),
-        states=ys.data.copy(),
-        scores=scores.data.copy(),
-    )
+    return CascadeForward(loss=loss, step_losses=steps.data.copy())
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -382,7 +270,7 @@ def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
-    _, scores = _forward_positions(params, idx, None, False, 0.0, None)
+    scores = _forward_positions(params, idx, None, False, 0.0, None)
     return scores.data.copy()
 
 
@@ -430,24 +318,43 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back; returns (ModelParams, seed)."""
+    """Read a checkpoint back; returns (ModelParams, seed).
+
+    Anything but an intact checkpoint raises ValueError: a wrong magic,
+    truncation, a malformed header, tensors renamed or shaped other than
+    ``num_nodes``/``dim``/``factors`` imply, or trailing bytes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a casdis checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        kwargs = dict(
-            num_nodes=header["num_nodes"],
-            dim=header["dim"],
-            factors=header["factors"],
+        blob = fh.read()
+    start = len(_CKPT_MAGIC) + 8
+    if not blob.startswith(_CKPT_MAGIC):
+        raise ValueError(f"{path}: not a casdis checkpoint")
+    if len(blob) < start:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    (hlen,) = struct.unpack_from("<Q", blob, len(_CKPT_MAGIC))
+    try:
+        header = json.loads(blob[start:start + hlen].decode())
+        num_nodes, dim, factors, seed = (
+            int(header[key]) for key in ("num_nodes", "dim", "factors", "seed")
         )
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated tensor {spec['name']}")
-            value = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            kwargs[spec["name"]] = Parameter(value.copy(), name=spec["name"])
-    return ModelParams(**kwargs), header["seed"]
+        specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed checkpoint header: {err!r}") from None
+    if num_nodes < 1 or dim < 2 or factors < 1:
+        raise ValueError(f"{path}: bad sizes N={num_nodes}, D={dim}, K={factors}")
+    expected = list(zip(_PARAM_NAMES, _param_shapes(num_nodes, dim, factors)))
+    if specs != expected:
+        raise ValueError(
+            f"{path}: tensors {specs} do not match N={num_nodes}, D={dim}, K={factors}"
+        )
+    offset = start + hlen
+    size = offset + 8 * sum(math.prod(shape) for _, shape in expected)
+    if len(blob) != size:
+        raise ValueError(f"{path}: expected {size} bytes, found {len(blob)}")
+    kwargs = dict(num_nodes=num_nodes, dim=dim, factors=factors)
+    for name, shape in expected:
+        count = math.prod(shape)
+        value = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        kwargs[name] = Parameter(value.astype(np.float64).reshape(shape), name=name)
+        offset += 8 * count
+    return ModelParams(**kwargs), seed

@@ -10,7 +10,7 @@ checks are meaningless at single precision.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def gumbel_noise(shape, rng: RngState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# plain forward kernels (shared by the recording ops below)
+# plain forward kernel (shared by the recording ops below)
 
 
 def softmax(logits, mask=None) -> np.ndarray:
@@ -89,52 +89,6 @@ def softmax(logits, mask=None) -> np.ndarray:
     else:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def layer_norm(v, gain, bias, epsilon: float = 1e-8) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit population variance,
-    then apply elementwise gain and bias.
-
-    A constant input has zero variance and maps to all-bias (zeros for
-    bias = 0) instead of dividing by zero.
-    """
-    x = np.asarray(v, dtype=np.float64)
-    g = np.asarray(gain, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    d = x.shape[-1]
-    if d < 2:
-        raise ValueError("layer_norm needs at least 2 features")
-    if g.shape != (d,) or b.shape != (d,):
-        raise ValueError(
-            f"gain/bias shapes {g.shape}/{b.shape} do not match feature size {d}"
-        )
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + epsilon) * g + b
-
-
-def cosine_similarity(a, b) -> float:
-    """cos(a, b) with the denominator clamped below at NORM_FLOOR."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ValueError(f"cosine_similarity needs equal-length vectors, got {av.shape} and {bv.shape}")
-    denom = max(np.linalg.norm(av) * np.linalg.norm(bv), NORM_FLOOR)
-    return float(av @ bv / denom)
-
-
-def sample_gumbel_softmax(logits, tau: float, rng: RngState) -> np.ndarray:
-    """softmax((logits + g) / tau) with fresh Gumbel noise g from ``rng``.
-
-    The sample is soft (a full probability vector, no hard one-hot), so it
-    stays differentiable w.r.t. the logits once the noise is frozen.
-    """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    x = np.asarray(logits, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("sample_gumbel_softmax of empty logits")
-    return softmax((x + gumbel_noise(x.shape, rng)) / tau)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +243,9 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     ad, bd = _data(a), _data(b)
-    out = ad @ bd
-    if ad.ndim == 2 and bd.ndim == 2:
-        rules = [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)]
-    elif ad.ndim == 2 and bd.ndim == 1:
-        rules = [(a, lambda g: np.outer(g, bd)), (b, lambda g: ad.T @ g)]
-    elif ad.ndim == 1 and bd.ndim == 2:
-        rules = [(a, lambda g: bd @ g), (b, lambda g: np.outer(ad, g))]
-    elif ad.ndim == 1 and bd.ndim == 1:
-        rules = [(a, lambda g: g * bd), (b, lambda g: g * ad)]
-    else:
+    if ad.ndim != 2 or bd.ndim != 2:
         raise ValueError(f"matmul on shapes {ad.shape} and {bd.shape} not supported")
-    return _op(out, rules)
+    return _op(ad @ bd, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
 def sigmoid(x) -> Tensor:
@@ -316,19 +261,6 @@ def sigmoid(x) -> Tensor:
 def tanh(x) -> Tensor:
     out = np.tanh(_data(x))
     return _op(out, [(x, lambda g: g * (1.0 - out * out))])
-
-
-def pick(x, index: int) -> Tensor:
-    """x[index] along the first axis (row of a matrix, scalar of a vector)."""
-    xd = _data(x)
-    idx = int(index)
-
-    def back(g):
-        full = np.zeros_like(xd)
-        full[idx] = g
-        return full
-
-    return _op(xd[idx], [(x, back)])
 
 
 def gather_rows(x, indices) -> Tensor:
@@ -350,11 +282,6 @@ def stack_rows(items: Sequence) -> Tensor:
     return _op(out, rules)
 
 
-def reshape(x, shape) -> Tensor:
-    xd = _data(x)
-    return _op(xd.reshape(shape), [(x, lambda g: g.reshape(xd.shape))])
-
-
 def sum_all(x) -> Tensor:
     xd = _data(x)
     return _op(xd.sum(), [(x, lambda g: np.full(xd.shape, float(g)))])
@@ -373,7 +300,9 @@ def softmax_rows(x, mask=None, scale: float = 1.0) -> Tensor:
 
 
 def layer_norm_rows(x, gain, bias, epsilon: float = 1e-8) -> Tensor:
-    """layer_norm along the last axis; gain/bias are length-D vectors."""
+    """Normalize the last axis to zero mean and unit population variance,
+    then apply the length-D ``gain`` and ``bias``; a constant row maps to
+    ``bias``."""
     xd, gd, bd = _data(x), _data(gain), _data(bias)
     mean = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
@@ -535,8 +464,3 @@ def finite_difference_gradient(
         estimates.append(grad)
     return estimates
 
-
-def assert_all_finite(x, what: str = "array") -> None:
-    arr = _data(x)
-    if not np.isfinite(arr).all():
-        raise FloatingPointError(f"{what} contains non-finite entries")

@@ -166,7 +166,7 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
     shuffle_rng = RngState.derive(config.seed, "shuffle")
 
     params = init_params(num_nodes, config.d, config.k, init_rng)
-    gumbel = GumbelConfig(tau=config.tau, enabled_in_training=config.gumbel_enabled, rng=gumbel_rng)
+    gumbel = GumbelConfig(tau=config.tau, rng=gumbel_rng) if config.gumbel_enabled else None
     opt = OptimizerState.for_params(params, lr=config.lr_init)
 
     best = params.clone()

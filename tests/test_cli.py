@@ -1,0 +1,127 @@
+import json
+import math
+import struct
+
+import pytest
+
+from casdis import cli
+from casdis import data as dt
+from casdis import model as md
+from casdis.numerics import RngState
+
+NUM_NODES = 12
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    """20 cascades of distinct lengths over 12 nodes, and a K=2, D=4
+    checkpoint trained (nominally) with root seed 5."""
+    cascades = [[f"n{(i + j) % NUM_NODES}" for j in range(i + 2)] for i in range(20)]
+    data = tmp_path / "cascades.txt"
+    data.write_text("\n".join(" ".join(c) for c in cascades) + "\n", encoding="utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    md.save_checkpoint(ckpt, md.init_params(NUM_NODES, 4, 2, RngState(0)), seed=5)
+    return tmp_path, data, ckpt
+
+
+def run_eval(workspace, *extra):
+    tmp_path, data, ckpt = workspace
+    out = tmp_path / "eval"
+    code = cli.main(["eval", "--data", str(data), "--checkpoint", str(ckpt), "--out", str(out), *extra])
+    return code, out
+
+
+def split_test_points(root_seed, data):
+    with open(data, encoding="utf-8") as fh:
+        cascades = dt.parse_cascades(fh).cascades
+    split = dt.split_dataset(cascades, RngState.derive(root_seed, "split").seed)
+    return sum(len(c) - 1 for c in split.test)
+
+
+def test_eval_splits_with_the_checkpoint_seed(workspace):
+    _, data, _ = workspace
+    assert split_test_points(5, data) != split_test_points(1, data)  # the two splits are told apart
+    code, out = run_eval(workspace)
+    assert code == cli.EXIT_OK
+    points = int((out / "report.csv").read_text().splitlines()[1].split(",")[3])
+    assert points == split_test_points(5, data)
+    assert "seed=5" in (out / "config.resolved").read_text().splitlines()
+
+
+def test_eval_rejects_an_explicit_seed_other_than_the_checkpoint(workspace):
+    tmp_path = workspace[0]
+    assert run_eval(workspace, "--seed", "1")[0] == cli.EXIT_MISMATCH
+    conf = tmp_path / "eval.conf"
+    conf.write_text("seed=1\n", encoding="utf-8")
+    assert run_eval(workspace, "--config", str(conf))[0] == cli.EXIT_MISMATCH
+    assert run_eval(workspace, "--seed", "5")[0] == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--k", "4"], cli.EXIT_MISMATCH),   # 4 is the default K
+    (["--k", "3"], cli.EXIT_MISMATCH),
+    (["--d", "64"], cli.EXIT_MISMATCH),  # 64 is the default D
+    (["--k", "2", "--d", "4"], cli.EXIT_OK),
+])
+def test_eval_compares_only_explicit_k_and_d(workspace, flags, code):
+    assert run_eval(workspace, *flags)[0] == code
+
+
+def _rewrite_header(blob, edit):
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + hlen])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:]
+
+
+def _section_ends(blob):
+    """0, then the offsets where the magic, the header length, the header and
+    each tensor but the last end."""
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    ends = [0, 8, 16, 16 + hlen]
+    for spec in json.loads(blob[16:16 + hlen])["tensors"][:-1]:
+        ends.append(ends[-1] + 8 * math.prod(spec["shape"]))
+    return ends
+
+
+def _rename(header):
+    header["tensors"][1]["name"] = "w_q"
+
+
+def _reshape(header):
+    header["tensors"][10]["shape"] = header["tensors"][10]["shape"][::-1]
+
+
+def _resize(header):
+    header["num_nodes"] += 1
+
+
+CORRUPTIONS = {
+    "bad_magic": lambda blob: b"CASDIS2\n" + blob[8:],
+    "renamed_tensor": lambda blob: _rewrite_header(blob, _rename),
+    "reshaped_tensor": lambda blob: _rewrite_header(blob, _reshape),
+    "header_sizes_disagree": lambda blob: _rewrite_header(blob, _resize),
+    "trailing_bytes": lambda blob: blob + b"\0" * 8,
+    "cut_inside_a_tensor": lambda blob: blob[:-4],
+}
+# a checkpoint with 13 tensors has 16 such cuts
+CORRUPTIONS.update(
+    {f"cut_after_section_{i}": (lambda blob, i=i: blob[:_section_ends(blob)[i]]) for i in range(16)}
+)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_is_rejected(workspace, name):
+    _, _, ckpt = workspace
+    blob = ckpt.read_bytes()
+    assert len(_section_ends(blob)) == 16
+    ckpt.write_bytes(CORRUPTIONS[name](blob))
+    with pytest.raises(ValueError):
+        md.load_checkpoint(ckpt)
+    assert run_eval(workspace)[0] == cli.EXIT_MISMATCH
+
+
+def test_unreadable_config_file_exits_with_the_input_code(tmp_path):
+    missing = tmp_path / "missing.conf"
+    assert cli.main(["synth", "--config", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT

@@ -4,44 +4,40 @@ import numpy as np
 import pytest
 
 from casdis import model as md
-from casdis import numerics as nm
 from casdis.numerics import RngState
 
-from test_numerics import check_gradients, max_rel_err
+from test_numerics import check_gradients
 
 
 def small_params(num_nodes=6, dim=4, factors=3, seed=0):
     return md.init_params(num_nodes, dim, factors, RngState(seed))
 
 
-def composed_step_losses(params, cascade):
-    """Per-step losses recomputed through the single-step operations."""
-    losses = []
-    for t in range(1, len(cascade)):
-        hidden = md.encode_sequence(params, cascade[:t])
-        alpha = md.sequential_attention(hidden)
-        beta = md.disentangled_attention(hidden, params)
-        ys = md.aggregate(hidden, alpha, beta, params)
-        losses.append(float(md.step_loss(ys, cascade[t], params).data))
-    return np.array(losses)
+def numpy_oracle(params, cascade):
+    """Straight-line numpy model, one prefix at a time, sharing no code with
+    the package: GRU, causal attention, K cosine-softmax factor weights,
+    layer norm, max-over-factors scores.
 
-
-def plain_gru_attention_losses(params, cascade):
-    """Straight-line numpy GRU + attention + softmax loss, no factor machinery.
-
-    Independent oracle for the K=1 degeneration: a single factor receives
-    weight 1 everywhere, so the model must reduce to exactly this.
+    Returns (scores, losses): scores[t] ranks the node after cascade[:t+1],
+    and losses[t] = -log softmax(scores[t])[cascade[t+1]].
     """
     X = params.embeddings.data
-    d = params.dim
+    n, d = params.num_nodes, params.dim
     scale = 1.0 / math.sqrt(d)
 
     def sig(x):
         return 1.0 / (1.0 + np.exp(-x))
 
+    def unit(v):
+        return v / max(np.linalg.norm(v), 1e-12)
+
+    def softmax(x):
+        e = np.exp(x - x.max())
+        return e / e.sum()
+
     h = np.zeros(d)
     history = []
-    for v in cascade[:-1]:
+    for v in cascade:
         x = X[v]
         z = sig(x @ params.w_z.data + h @ params.u_z.data + params.b_z.data)
         r = sig(x @ params.w_r.data + h @ params.u_r.data + params.b_r.data)
@@ -49,267 +45,126 @@ def plain_gru_attention_losses(params, cascade):
         h = (1.0 - z) * h + z * cand
         history.append(h)
     H = np.array(history)
+    protos = [unit(p) for p in params.prototypes.data]
+    B = np.array([softmax(np.array([unit(hi) @ p for p in protos]) * scale) for hi in H])
 
-    Xr = X[: params.num_nodes]
-    losses = []
+    scores = []
     for t in range(len(H)):
-        e = H[: t + 1] @ H[t] * scale
-        a = np.exp(e - e.max())
-        a /= a.sum()
-        agg = (a[:, None] * H[: t + 1]).sum(axis=0)
-        y = (agg - agg.mean()) / np.sqrt(agg.var() + 1e-8)
-        y = y * params.ln_gain.data + params.ln_bias.data
-        s = Xr @ y * scale
+        a = softmax(H[: t + 1] @ H[t] * scale)
+        best = np.full(n, -np.inf)
+        for k in range(params.factors):
+            agg = ((a * B[: t + 1, k])[:, None] * H[: t + 1]).sum(axis=0)
+            y = (agg - agg.mean()) / np.sqrt(agg.var() + 1e-8)
+            y = y * params.ln_gain.data + params.ln_bias.data
+            best = np.maximum(best, X[:n] @ y * scale)
+        scores.append(best)
+    losses = []
+    for t in range(len(cascade) - 1):
+        s = scores[t]
         m = s.max()
-        lse = m + math.log(np.exp(s - m).sum())
-        losses.append(lse - s[cascade[t + 1]])
-    return np.array(losses)
+        losses.append(m + math.log(np.exp(s - m).sum()) - s[cascade[t + 1]])
+    return np.array(scores), np.array(losses)
+
+
+def random_model(rng, factors, seed):
+    """Small model with non-trivial layer-norm gain and bias."""
+    n = int(rng.integers(3, 9))
+    params = md.init_params(n, int(rng.integers(2, 7)), factors, RngState(seed))
+    params.ln_gain.data[:] = rng.uniform(0.5, 1.5, params.dim)
+    params.ln_bias.data[:] = rng.normal(scale=0.3, size=params.dim)
+    cascade = rng.integers(0, n, size=int(rng.integers(2, 8))).tolist()
+    return params, cascade
 
 
 # ---------------------------------------------------------------------------
-# gru_step
+# single-position behaviour, seen through prefix_scores
 
 
 def test_gru_step_all_zero_weights():
+    # a zero recurrent state layer-normalizes to the zero bias: every score is 0
     params = small_params()
     for name, p in params.named_parameters():
         if name.startswith(("w_", "u_", "b_")):
             p.data[:] = 0.0
-    out = md.gru_step(params, np.zeros(4), 2)
-    assert np.allclose(out.data, 0.0)
+    assert (md.prefix_scores(params, [2, 0, 5]) == 0.0).all()
 
 
 def test_gru_step_deterministic():
     params = small_params()
-    h = RngState(3).uniform_between(-1, 1, 4)
-    a = md.gru_step(params, h, 1)
-    b = md.gru_step(params, h, 1)
-    assert (a.data == b.data).all()
+    a = md.prefix_scores(params, [1, 3, 1])
+    b = md.prefix_scores(params, [1, 3, 1])
+    assert (a == b).all()
 
 
 def test_gru_step_index_out_of_range():
     params = small_params()
     with pytest.raises(ValueError):
-        md.gru_step(params, np.zeros(4), 6)
+        md.prefix_scores(params, [0, 6])
     with pytest.raises(ValueError):
-        md.gru_step(params, np.zeros(4), -1)
-
-
-def test_gru_step_gradients():
-    params = small_params(dim=4, seed=5)
-    h0 = RngState(7).uniform_between(-0.5, 0.5, 4)
-    check_gradients(lambda: nm.sum_all(md.gru_step(params, h0, 3)), params.parameters())
-
-
-# ---------------------------------------------------------------------------
-# sequential attention
+        md.prefix_scores(params, [-1, 0])
 
 
 def test_attention_single_position():
-    params = small_params()
-    hidden = md.encode_sequence(params, [2])
-    alpha = md.sequential_attention(hidden)
-    assert np.allclose(alpha.data, [1.0])
-
-
-def test_attention_identical_states_uniform():
-    h = nm.Tensor(np.tile([0.3, -0.2, 0.5, 0.1], (5, 1)))
-    alpha = md.sequential_attention(h)
-    assert np.allclose(alpha.data, 0.2, atol=1e-12)
-
-
-def test_attention_two_states_matches_direct_softmax():
-    # D=4: scores [h1.h2, h2.h2] / 2 = [0.5, 1.0]
-    h = nm.Tensor(np.array([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0]]))
-    alpha = md.sequential_attention(h)
-    expect = np.exp([0.5, 1.0])
-    expect /= expect.sum()
-    assert np.max(np.abs(alpha.data - expect)) < 1e-12
-    assert np.max(np.abs(alpha.data - [0.37754, 0.62246])) < 1e-5
-
-
-def test_attention_rows_sum_to_one():
+    # causal mask: the first row sees only the first node
     params = small_params(num_nodes=9, dim=6, factors=2, seed=8)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        cascade = rng.integers(0, 9, size=rng.integers(1, 7))
-        hidden = md.encode_sequence(params, cascade)
-        alpha = md.sequential_attention(hidden)
-        assert abs(alpha.data.sum() - 1.0) < 1e-9
-        assert (alpha.data >= 0).all()
+    full = md.prefix_scores(params, [4, 1, 7, 2])
+    alone = md.prefix_scores(params, [4])
+    assert np.max(np.abs(full[0] - alone[0])) < 1e-12
 
 
 def test_attention_empty_errors():
     with pytest.raises(ValueError):
-        md.sequential_attention(nm.Tensor(np.zeros((0, 4))))
-
-
-# ---------------------------------------------------------------------------
-# disentangled attention
+        md.prefix_scores(small_params(), [])
 
 
 def test_factor_weights_single_factor():
+    # one factor takes weight exactly 1 whatever its prototype
     params = small_params(factors=1)
-    hidden = md.encode_sequence(params, [0, 1, 2])
-    beta = md.disentangled_attention(hidden, params)
-    assert np.allclose(beta.data, 1.0)
-
-
-def test_factor_weights_equidistant_uniform():
-    params = small_params(num_nodes=3, dim=4, factors=2)
-    params.prototypes.data[:] = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
-    hidden = nm.Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]))  # orthogonal to both
-    beta = md.disentangled_attention(hidden, params)
-    assert np.allclose(beta.data, 0.5, atol=1e-12)
-
-
-def test_factor_weights_known_cosines():
-    # cos = [1, 0] at D=4 gives logits [0.5, 0]
-    params = small_params(num_nodes=3, dim=4, factors=2)
-    params.prototypes.data[:] = [[2.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]
-    hidden = nm.Tensor(np.array([[1.0, 0.0, 0.0, 0.0]]))
-    beta = md.disentangled_attention(hidden, params)
-    assert np.max(np.abs(beta.data - [0.62246, 0.37754])) < 1e-5
-
-
-def test_factor_weights_rows_sum_to_one():
-    params = small_params(num_nodes=8, dim=5, factors=4, seed=3)
-    hidden = md.encode_sequence(params, [1, 5, 2, 7])
-    beta = md.disentangled_attention(hidden, params)
-    assert np.max(np.abs(beta.data.sum(axis=1) - 1.0)) < 1e-9
+    before = md.prefix_scores(params, [0, 1, 2])
+    params.prototypes.data[:] = RngState(1).uniform_between(-5, 5, (1, 4))
+    assert (md.prefix_scores(params, [0, 1, 2]) == before).all()
 
 
 def test_factor_weights_gumbel_only_in_training():
     params = small_params(seed=4)
-    hidden = md.encode_sequence(params, [0, 3, 4])
-    gum = md.GumbelConfig(tau=1.0, enabled_in_training=True, rng=RngState(9))
-    eval_beta = md.disentangled_attention(hidden, params, gum, training=False)
-    plain = md.disentangled_attention(hidden, params)
-    assert (eval_beta.data == plain.data).all()
-    train_beta = md.disentangled_attention(hidden, params, gum, training=True)
-    assert not np.allclose(train_beta.data, plain.data)
-    assert np.max(np.abs(train_beta.data.sum(axis=1) - 1.0)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# aggregate
-
-
-def test_aggregate_single_state_passthrough():
-    params = small_params(num_nodes=3, dim=2, factors=1)
-    params.ln_gain.data[:] = 1.0
-    params.ln_bias.data[:] = 0.0
-    hidden = nm.Tensor(np.array([[1.0, -1.0]]))
-    alpha = nm.Tensor(np.array([1.0]))
-    beta = nm.Tensor(np.array([[1.0]]))
-    ys = md.aggregate(hidden, alpha, beta, params)
-    assert np.max(np.abs(ys.data - [[1.0, -1.0]])) < 1e-6
-
-
-def test_aggregate_rows_have_zero_mean():
-    params = small_params(num_nodes=9, dim=6, factors=3, seed=6)
-    hidden = md.encode_sequence(params, [1, 2, 8, 0])
-    alpha = md.sequential_attention(hidden)
-    beta = md.disentangled_attention(hidden, params)
-    ys = md.aggregate(hidden, alpha, beta, params)
-    assert np.max(np.abs(ys.data.mean(axis=-1))) < 1e-9
-
-
-def test_aggregate_matches_straight_line_recompute():
-    params = small_params(num_nodes=5, dim=4, factors=2, seed=7)
-    hidden = md.encode_sequence(params, [0, 4])
-    alpha = md.sequential_attention(hidden)
-    beta = md.disentangled_attention(hidden, params)
-    ys = md.aggregate(hidden, alpha, beta, params)
-    # oracle: direct loop over the weighted sum, then the plain layer_norm kernel
-    for k in range(2):
-        acc = np.zeros(4)
-        for i in range(2):
-            acc += alpha.data[i] * beta.data[i, k] * hidden.data[i]
-        expect = nm.layer_norm(acc, params.ln_gain.data, params.ln_bias.data)
-        assert np.max(np.abs(ys.data[k] - expect)) < 1e-10
-
-
-def test_aggregate_shape_mismatch():
-    params = small_params()
-    hidden = md.encode_sequence(params, [0, 1])
-    alpha = nm.Tensor(np.array([1.0]))  # wrong length
-    beta = md.disentangled_attention(hidden, params)
-    with pytest.raises(ValueError):
-        md.aggregate(hidden, alpha, beta, params)
-
-
-# ---------------------------------------------------------------------------
-# scoring and loss
-
-
-def test_score_single_factor_exact():
-    params = small_params(num_nodes=5, dim=4, factors=1, seed=9)
-    ys = nm.Tensor(RngState(1).uniform_between(-1, 1, (1, 4)))
-    scores = md.score_candidates(ys, params)
-    expect = params.embeddings.data[:5] @ ys.data[0] / 2.0
-    assert np.max(np.abs(scores.data - expect)) < 1e-12
-    assert scores.shape == (5,)
-
-
-def test_score_duplicate_factor_equals_single():
-    params = small_params(num_nodes=5, dim=4, factors=2, seed=9)
-    y = RngState(2).uniform_between(-1, 1, 4)
-    one = md.score_candidates(nm.Tensor(y[None, :]), params)
-    two = md.score_candidates(nm.Tensor(np.stack([y, y])), params)
-    assert (one.data == two.data).all()
-
-
-def test_score_matches_double_loop():
-    params = small_params(num_nodes=3, dim=4, factors=2, seed=10)
-    ys = nm.Tensor(RngState(3).uniform_between(-1, 1, (2, 4)))
-    scores = md.score_candidates(ys, params)
-    for v in range(3):
-        best = max(
-            float(params.embeddings.data[v] @ ys.data[k]) / 2.0 for k in range(2)
-        )
-        assert abs(scores.data[v] - best) < 1e-12
+    cascade = [0, 3, 4, 1]
+    plain = md.forward_cascade(params, cascade).step_losses
+    rng = RngState(9)
+    gum = md.GumbelConfig(tau=1.0, rng=rng)
+    evaluated = md.forward_cascade(params, cascade, gumbel=gum, training=False)
+    assert (evaluated.step_losses == plain).all()
+    assert (rng.uniform(3) == RngState(9).uniform(3)).all()  # no noise drawn
+    noiseless = md.forward_cascade(params, cascade, training=True).step_losses
+    assert (noiseless == plain).all()
+    noisy = md.forward_cascade(params, cascade, gumbel=gum, training=True).step_losses
+    assert not np.allclose(noisy, plain)
 
 
 def test_score_excludes_padding_row():
     params = small_params(num_nodes=4, dim=4, factors=2, seed=11)
     params.embeddings.data[params.pad_index] = 1e6  # huge pad row must not appear
-    ys = nm.Tensor(RngState(4).uniform_between(-1, 1, (2, 4)))
-    scores = md.score_candidates(ys, params)
-    assert scores.shape == (4,)
-    assert np.all(np.abs(scores.data) < 1e3)
+    scores = md.prefix_scores(params, [0, 3, 1])
+    assert scores.shape == (3, 4)
+    assert np.all(np.abs(scores) < 1e3)
 
 
 def test_step_loss_uniform_scores():
-    params = small_params(num_nodes=2, dim=4, factors=2, seed=12)
-    params.embeddings.data[:] = params.embeddings.data[0]  # identical nodes
-    ys = nm.Tensor(RngState(5).uniform_between(-1, 1, (2, 4)))
-    loss = md.step_loss(ys, 0, params)
-    assert abs(float(loss.data) - math.log(2)) < 1e-9
-
-    params7 = small_params(num_nodes=7, dim=4, factors=2, seed=12)
-    params7.embeddings.data[:] = params7.embeddings.data[0]
-    loss7 = md.step_loss(ys, 3, params7)
-    assert abs(float(loss7.data) - math.log(7)) < 1e-9
-
-
-def test_step_loss_target_out_of_range():
-    params = small_params()
-    ys = nm.Tensor(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        md.step_loss(ys, 6, params)
+    for n in (2, 7):
+        params = small_params(num_nodes=n, dim=4, factors=2, seed=12)
+        params.embeddings.data[:] = params.embeddings.data[0]  # identical nodes
+        out = md.forward_cascade(params, [0, 1, 1, 0])
+        assert np.max(np.abs(out.step_losses - math.log(n))) < 1e-9
 
 
 def test_step_loss_gradients_through_whole_pipeline():
+    # Gumbel noise and dropout on, each redrawn identically per evaluation
     params = small_params(num_nodes=3, dim=4, factors=2, seed=13)
-    cascade = [0, 2, 1]
 
     def build():
-        hidden = md.encode_sequence(params, cascade[:2])
-        alpha = md.sequential_attention(hidden)
-        beta = md.disentangled_attention(hidden, params)
-        ys = md.aggregate(hidden, alpha, beta, params)
-        return md.step_loss(ys, cascade[2], params)
+        return md.forward_cascade(
+            params, [0, 2, 1], gumbel=md.GumbelConfig(tau=0.7, rng=RngState(4)),
+            training=True, dropout_rate=0.2, dropout_rng=RngState(5),
+        ).loss
 
     check_gradients(build, params.parameters())
 
@@ -337,6 +192,8 @@ def test_forward_rejects_bad_indices():
     params = small_params()
     with pytest.raises(ValueError):
         md.forward_cascade(params, [0, 6])
+    with pytest.raises(ValueError):
+        md.forward_cascade(params, [-1, 0])
 
 
 def test_forward_independent_of_other_cascades():
@@ -347,21 +204,24 @@ def test_forward_independent_of_other_cascades():
     assert before == after
 
 
-def test_forward_equals_sum_of_composed_steps():
-    params = small_params(num_nodes=5, dim=4, factors=2, seed=15)
-    cascade = [0, 3, 1, 4]
-    out = md.forward_cascade(params, cascade)
-    expect = composed_step_losses(params, cascade)
-    assert expect.shape == (3,)
-    assert np.max(np.abs(out.step_losses - expect)) < 1e-10
-    assert abs(float(out.loss.data) - expect.sum()) < 1e-10
+def test_forward_and_prefix_scores_match_numpy_oracle():
+    rng = np.random.default_rng(15)
+    for factors in (1, 2, 3, 4):
+        for trial in range(10):
+            params, cascade = random_model(rng, factors, seed=100 * factors + trial)
+            scores, losses = numpy_oracle(params, cascade)
+            out = md.forward_cascade(params, cascade)
+            assert out.step_losses.shape == (len(cascade) - 1,)
+            assert np.max(np.abs(out.step_losses - losses)) < 1e-10
+            assert abs(float(out.loss.data) - losses.sum()) < 1e-10
+            assert np.max(np.abs(md.prefix_scores(params, cascade) - scores)) < 1e-10
 
 
 def test_forward_bit_reproducible_with_seeded_gumbel():
     params = small_params(seed=16)
     losses = []
     for _ in range(2):
-        gum = md.GumbelConfig(tau=1.0, enabled_in_training=True, rng=RngState(77))
+        gum = md.GumbelConfig(tau=1.0, rng=RngState(77))
         out = md.forward_cascade(params, [0, 2, 4, 1], gumbel=gum, training=True)
         losses.append(float(out.loss.data))
     assert losses[0] == losses[1]
@@ -433,19 +293,16 @@ def test_single_factor_equals_plain_gru_attention():
         params = md.init_params(n, int(rng.integers(2, 7)), 1, RngState(trial))
         cascade = rng.integers(0, n, size=int(rng.integers(2, 7))).tolist()
         out = md.forward_cascade(params, cascade)
-        expect = plain_gru_attention_losses(params, cascade)
+        _, expect = numpy_oracle(params, cascade)
         assert np.max(np.abs(out.step_losses - expect)) < 1e-10
 
 
 def test_prototype_scaling_leaves_predictions_unchanged():
     params = small_params(num_nodes=9, dim=5, factors=3, seed=23)
-    hidden = md.encode_sequence(params, [2, 7, 4])
-    beta_before = md.disentangled_attention(hidden, params).data.copy()
+    scores_before = md.prefix_scores(params, [2, 7, 4])
     top_before = md.predict_topn(params, [2, 7, 4], 9).tolist()
     params.prototypes.data *= 37.5
-    hidden2 = md.encode_sequence(params, [2, 7, 4])
-    beta_after = md.disentangled_attention(hidden2, params).data
-    assert np.max(np.abs(beta_before - beta_after)) < 1e-9
+    assert np.max(np.abs(md.prefix_scores(params, [2, 7, 4]) - scores_before)) < 1e-9
     assert md.predict_topn(params, [2, 7, 4], 9).tolist() == top_before
 
 
