@@ -28,7 +28,6 @@ from .numerics import (
     RngState,
     Tensor,
     finite_difference_gradient,
-    softmax,
 )
 from .training import TrainConfig, TrainResult, adam_step, train
 

@@ -12,6 +12,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,40 +37,52 @@ EXIT_TRAINING = 6       # run aborted (divergence, nan gradients)
 
 log = logging.getLogger(__name__)
 
-DEFAULTS = {
-    "seed": 1,
-    "k": 4,
-    "d": 64,
-    "lr": 0.005,
-    "batch_size": 32,
-    "epochs": 50,
-    "tau": 1.0,
-    "gumbel": "on",
-    "dropout": 1e-4,
-    "n_list": "10,50,100",
-    "max_len": 200,
-    "patience": 5,
-    "lr_patience": 2,
-    "lr_decay": 0.5,
-    "clip_norm": 5.0,
-    # synth-only
-    "communities": 2,
-    "nodes_per_community": 20,
-    "cross_prob": 0.1,
-    "cascades": 500,
-    "length_min": 8,
-    "length_max": 24,
-}
+_FIT = ("train", "ablate")
+_MODEL = ("train", "eval", "ablate")
 
-_TYPES = {
-    "seed": int, "k": int, "d": int, "lr": float, "batch_size": int,
-    "epochs": int, "tau": float, "gumbel": str, "dropout": float,
-    "n_list": str, "max_len": int, "patience": int, "lr_patience": int,
-    "lr_decay": float, "clip_norm": float, "communities": int,
-    "nodes_per_community": int, "cross_prob": float, "cascades": int,
-    "length_min": int, "length_max": int, "data": str, "out": str,
-    "checkpoint": str, "k_list": str, "d_list": str,
-}
+
+class Option(NamedTuple):
+    """One key, settable as ``--name`` (underscores as dashes) by the listed
+    subcommands and as ``name=value`` in any config file."""
+
+    name: str
+    type: type
+    default: object = None      # None: unset unless given
+    commands: Tuple[str, ...] = ("train", "eval", "ablate", "synth")
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+
+
+OPTIONS = (
+    Option("out", str, help="output directory"),
+    Option("seed", int, 1),
+    Option("data", str, commands=_MODEL, help="cascade file"),
+    Option("checkpoint", str, commands=("eval",)),
+    Option("k", int, 4, _MODEL),
+    Option("d", int, 64, _MODEL),
+    Option("lr", float, 0.005, _FIT),
+    Option("batch_size", int, 32, _FIT),
+    Option("epochs", int, 50, _FIT),
+    Option("tau", float, 1.0, _FIT),
+    Option("gumbel", str, "on", _FIT, choices=("on", "off")),
+    Option("dropout", float, 1e-4, _FIT),
+    Option("max_len", int, 200, _FIT),
+    Option("patience", int, 5, _FIT),
+    Option("lr_patience", int, 2, _FIT),
+    Option("lr_decay", float, 0.5, _FIT),
+    Option("clip_norm", float, 5.0, _FIT),
+    Option("n_list", str, "10,50,100", ("eval", "ablate")),
+    Option("k_list", str, commands=("ablate",)),
+    Option("d_list", str, commands=("ablate",)),
+    Option("communities", int, 2, ("synth",)),
+    Option("nodes_per_community", int, 20, ("synth",)),
+    Option("cross_prob", float, 0.1, ("synth",)),
+    Option("cascades", int, 500, ("synth",)),
+    Option("length_min", int, 8, ("synth",)),
+    Option("length_max", int, 24, ("synth",)),
+)
+_BY_NAME = {o.name: o for o in OPTIONS}
+DEFAULTS = {o.name: o.default for o in OPTIONS if o.default is not None}
 
 
 class CliError(Exception):
@@ -91,17 +104,23 @@ def read_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise CliError(EXIT_USAGE, f"{path}:{line_no}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _TYPES:
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        option = _BY_NAME.get(key)
+        if option is None:
             raise CliError(EXIT_USAGE, f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _TYPES[key](raw.strip())
+        try:
+            values[key] = option.type(raw)
+        except ValueError:
+            raise CliError(EXIT_USAGE, f"{path}:{line_no}: {key} needs a {option.type.__name__}, got {raw!r}")
+        if option.choices and values[key] not in option.choices:
+            raise CliError(EXIT_USAGE, f"{path}:{line_no}: {key} must be one of {option.choices}, got {raw!r}")
     return values
 
 
 def given_config(args: argparse.Namespace) -> dict:
     """The values set explicitly: config file < flags that were actually given."""
     given = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _TYPES:
+    for key in _BY_NAME:
         flag = getattr(args, key, None)
         if flag is not None:
             given[key] = flag
@@ -145,22 +164,27 @@ def _read_data(config: dict):
 
 
 def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(
-        lr_init=config["lr"],
-        batch_size=config["batch_size"],
-        max_epochs=config["epochs"],
-        patience=config["patience"],
-        lr_decay_factor=config["lr_decay"],
-        lr_patience=config["lr_patience"],
-        dropout_rate=config["dropout"],
-        tau=config["tau"],
-        gumbel_enabled=config["gumbel"] == "on",
-        seed=config["seed"],
-        k=config["k"],
-        d=config["d"],
-        max_len=config["max_len"],
-        clip_norm=config["clip_norm"],
-    )
+    """The training hyperparameters of ``config``; a value out of range is a
+    usage error."""
+    try:
+        return TrainConfig(
+            lr_init=config["lr"],
+            batch_size=config["batch_size"],
+            max_epochs=config["epochs"],
+            patience=config["patience"],
+            lr_decay_factor=config["lr_decay"],
+            lr_patience=config["lr_patience"],
+            dropout_rate=config["dropout"],
+            tau=config["tau"],
+            gumbel_enabled=config["gumbel"] == "on",
+            seed=config["seed"],
+            k=config["k"],
+            d=config["d"],
+            max_len=config["max_len"],
+            clip_norm=config["clip_norm"],
+        )
+    except ValueError as err:
+        raise CliError(EXIT_USAGE, f"invalid hyperparameters: {err}")
 
 
 def _split(config: dict, cascades):
@@ -179,12 +203,13 @@ def _n_values(config: dict):
 
 
 def cmd_train(config: dict) -> int:
-    parsed = _read_data(config)          # validate inputs before creating outputs
+    train_config = _train_config(config)  # validate inputs before creating outputs
+    parsed = _read_data(config)
     out_dir = _ensure_out_dir(config)
     write_resolved_config(out_dir, config)
 
     split = _split(config, parsed.cascades)
-    result = train(_train_config(config), split, parsed.vocabulary.size)
+    result = train(train_config, split, parsed.vocabulary.size)
     save_checkpoint(out_dir / "model.ckpt", result.params, config["seed"])
     write_train_log(out_dir / "train_log.csv", result.log)
 
@@ -251,6 +276,7 @@ def _int_list(raw: str, flag: str):
 def cmd_ablate(config: dict) -> int:
     k_list = _int_list(config.get("k_list") or str(config["k"]), "--k-list")
     d_list = _int_list(config.get("d_list") or str(config["d"]), "--d-list")
+    cells = [(k, d, _train_config(dict(config, k=k, d=d))) for k in k_list for d in d_list]
     parsed = _read_data(config)
     out_dir = _ensure_out_dir(config)
     write_resolved_config(out_dir, config)
@@ -259,16 +285,14 @@ def cmd_ablate(config: dict) -> int:
     n_values = _n_values(config)
     header = ["k", "d"] + [f"hits@{n}" for n in n_values] + [f"map@{n}" for n in n_values]
     rows = [",".join(header)]
-    for k in k_list:
-        for d in d_list:
-            cell = dict(config, k=k, d=d)
-            result = train(_train_config(cell), split, parsed.vocabulary.size)
-            report = evaluate(result.params, split.test, n_values)
-            row = [str(k), str(d)]
-            row += [f"{report.hits[n]:.6f}" for n in n_values]
-            row += [f"{report.maps[n]:.6f}" for n in n_values]
-            rows.append(",".join(row))
-            print(rows[-1])
+    for k, d, train_config in cells:
+        result = train(train_config, split, parsed.vocabulary.size)
+        report = evaluate(result.params, split.test, n_values)
+        row = [str(k), str(d)]
+        row += [f"{report.hits[n]:.6f}" for n in n_values]
+        row += [f"{report.maps[n]:.6f}" for n in n_values]
+        rows.append(",".join(row))
+        print(rows[-1])
     (out_dir / "ablation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -303,55 +327,21 @@ def cmd_synth(config: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="casdis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    helps = {
+        "train": "fit a model and write a checkpoint",
+        "eval": "rank test cascades with a checkpoint",
+        "ablate": "sweep factor count and dimension",
+        "synth": "generate community-diffusion cascades",
+    }
+    for command, text in helps.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-
-    def train_flags(p):
-        p.add_argument("--data", help="cascade file")
-        p.add_argument("--k", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--gumbel", choices=("on", "off"))
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--max-len", dest="max_len", type=int)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--lr-patience", dest="lr_patience", type=int)
-        p.add_argument("--lr-decay", dest="lr_decay", type=float)
-        p.add_argument("--clip-norm", dest="clip_norm", type=float)
-
-    p_train = sub.add_parser("train", help="fit a model and write a checkpoint")
-    common(p_train)
-    train_flags(p_train)
-
-    p_eval = sub.add_parser("eval", help="rank test cascades with a checkpoint")
-    common(p_eval)
-    p_eval.add_argument("--data")
-    p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--k", type=int)
-    p_eval.add_argument("--d", type=int)
-    p_eval.add_argument("--n-list", dest="n_list")
-
-    p_ablate = sub.add_parser("ablate", help="sweep factor count and dimension")
-    common(p_ablate)
-    train_flags(p_ablate)
-    p_ablate.add_argument("--k-list", dest="k_list")
-    p_ablate.add_argument("--d-list", dest="d_list")
-    p_ablate.add_argument("--n-list", dest="n_list")
-
-    p_synth = sub.add_parser("synth", help="generate community-diffusion cascades")
-    common(p_synth)
-    p_synth.add_argument("--communities", type=int)
-    p_synth.add_argument("--nodes-per-community", dest="nodes_per_community", type=int)
-    p_synth.add_argument("--cross-prob", dest="cross_prob", type=float)
-    p_synth.add_argument("--cascades", type=int)
-    p_synth.add_argument("--length-min", dest="length_min", type=int)
-    p_synth.add_argument("--length-max", dest="length_max", type=int)
+        for o in OPTIONS:
+            if command in o.commands:
+                p.add_argument(
+                    "--" + o.name.replace("_", "-"), dest=o.name, type=o.type,
+                    choices=o.choices, help=o.help,
+                )
     return parser
 
 

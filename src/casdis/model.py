@@ -10,7 +10,10 @@ softmax loss.
 
 ``_forward_positions`` is the single definition of the model: training,
 validation, evaluation and prediction all run it, over every prefix of a
-cascade at once.  The test suite pins it to a straight-line numpy oracle.
+cascade at once, on plain float64 arrays.  ``_backward_positions`` beside it
+is the model's derivative written out in closed form, stage by stage in
+reverse.  The test suite pins the forward to a straight-line numpy oracle and
+the backward to finite differences.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import numerics as nm
-from .numerics import Parameter, RngState, Tensor
+from .numerics import NORM_FLOOR, Parameter, RngState, Tensor
 
 
 class DegenerateCascadeError(Exception):
@@ -123,7 +126,7 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
     protos = uni(factors, dim)
     for _ in range(100):
-        unit = protos / np.maximum(np.linalg.norm(protos, axis=1, keepdims=True), nm.NORM_FLOOR)
+        unit = _unit_rows(protos)[0]
         cos = unit @ unit.T
         np.fill_diagonal(cos, 0.0)
         bad = np.argwhere(np.abs(cos) > 0.99)
@@ -152,14 +155,97 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
 
 # ---------------------------------------------------------------------------
-# fused whole-cascade forward
+# forward kernels and their backward rules
+
+
+def _softmax(logits, mask=None) -> np.ndarray:
+    """Normalized exponentials along the last axis, max-subtracted.
+
+    ``mask`` (same shape, True = keep) forces masked positions to exactly 0.
+    Raises ValueError on empty input or a fully masked row.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("softmax of empty input")
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        if m.shape != x.shape:
+            raise ValueError(f"mask shape {m.shape} != logits shape {x.shape}")
+        if not m.any(axis=-1).all():
+            raise ValueError("softmax row is fully masked")
+        shifted = np.where(m, x, -np.inf)
+        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        e = np.where(m, e, 0.0)
+    else:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the logits of sum(g * p), where p = _softmax(logits)."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _unit_rows(x: np.ndarray):
+    """L2-normalize the last axis, clamping the norm below at NORM_FLOOR.
+
+    Returns the unit rows and the unclamped norms, which the backward needs.
+    """
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.maximum(norms, NORM_FLOOR), norms
+
+
+def _unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x of sum(g * y), where y, norms = _unit_rows(x).  Where
+    the clamp froze the denominator only the direct term remains."""
+    free = norms >= NORM_FLOOR
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
+
+
+def _layer_norm(x: np.ndarray, gain, bias, epsilon: float = 1e-8):
+    """Normalize the last axis to zero mean and unit population variance,
+    then apply the length-D ``gain`` and ``bias``; a constant row maps to
+    ``bias``.  Returns the output, the normalized rows and 1/std."""
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
+    xhat = (x - mean) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x of sum(g * _layer_norm(x, gain, bias)[0])."""
+    dxhat = g * gain
+    return inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+# ---------------------------------------------------------------------------
+# whole-cascade forward and backward
 
 
 @dataclass
 class CascadeForward:
-    """Result of one cascade pass: loss graph root plus detached step losses."""
+    """Result of one cascade pass.
 
-    loss: Tensor                 # scalar, sum of per-step losses
+    ``loss`` is the sum of the step losses.  ``loss.backward(g)`` runs
+    ``_backward_positions`` and adds g times the loss gradient into every
+    ``Parameter.grad``; repeated calls keep adding.
+    """
+
+    loss: Tensor                 # scalar
     step_losses: np.ndarray      # (t,)
 
 
@@ -173,55 +259,127 @@ def _forward_positions(
 ):
     """Candidate scores for all prefixes of ``positions`` in one pass.
 
-    Row t of the returned (t, N) score tensor belongs to the prefix of length t+1.
-    Factor weights are computed once per position (they do not depend on the
-    prefix length), and attention rows are masked to i <= t.
+    Returns the (t, N) scores, row t belonging to the prefix of length t+1,
+    and the intermediates ``_backward_positions`` needs.  Factor weights are
+    computed once per position (they do not depend on the prefix length), and
+    attention rows are masked to i <= t.
     """
     t_total = len(positions)
     d = params.dim
     scale = 1.0 / math.sqrt(d)
 
-    xe = nm.gather_rows(params.embeddings, positions)
+    xe = params.embeddings.data[positions]
+    keep = None
     if training and dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("dropout requested but no rng given")
         keep = (dropout_rng.uniform((t_total, d)) >= dropout_rate) / (1.0 - dropout_rate)
-        xe = nm.mul(xe, keep)
+        xe = xe * keep
 
     # input transforms for every step at once; the recurrence stays sequential
-    a_z = nm.add(nm.matmul(xe, params.w_z), params.b_z)
-    a_r = nm.add(nm.matmul(xe, params.w_r), params.b_r)
-    a_h = nm.add(nm.matmul(xe, params.w_h), params.b_h)
+    a_z = xe @ params.w_z.data + params.b_z.data
+    a_r = xe @ params.w_r.data + params.b_r.data
+    a_h = xe @ params.w_h.data + params.b_h.data
 
+    hidden, z, r, cand = (np.empty((t_total, d)) for _ in range(4))
     h = np.zeros(d)
-    states = []
     for t in range(t_total):
-        z = nm.sigmoid(nm.gate_preact(a_z, t, h, params.u_z))
-        r = nm.sigmoid(nm.gate_preact(a_r, t, h, params.u_r))
-        cand = nm.tanh(nm.gate_preact(a_h, t, nm.mul(r, h), params.u_h))
-        h = nm.gru_blend(z, h, cand)
-        states.append(h)
-    hidden = nm.stack_rows(states)
+        z[t] = _sigmoid(a_z[t] + h @ params.u_z.data)
+        r[t] = _sigmoid(a_r[t] + h @ params.u_r.data)
+        cand[t] = np.tanh(a_h[t] + (r[t] * h) @ params.u_h.data)
+        h = hidden[t] = (1.0 - z[t]) * h + z[t] * cand[t]
 
     causal = np.tri(t_total, dtype=bool)
-    attn = nm.softmax_rows(nm.dot_rows(hidden, hidden), mask=causal, scale=scale)
+    attn = _softmax(scale * np.einsum("...d,rd->...r", hidden, hidden), causal)
 
-    cos = nm.dot_rows(nm.unit_rows(hidden), nm.unit_rows(params.prototypes))
+    unit_h, norm_h = _unit_rows(hidden)
+    unit_p, norm_p = _unit_rows(params.prototypes.data)
+    cos = np.einsum("...d,rd->...r", unit_h, unit_p)
     if training and gumbel is not None:
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
-        noisy = nm.add(nm.mul(cos, scale), nm.gumbel_noise(cos.shape, gumbel.rng))
-        factors = nm.softmax_rows(noisy, scale=1.0 / gumbel.tau)
+        # the noise is drawn here and held fixed in the backward
+        factors = _softmax(1.0 / gumbel.tau * (cos * scale + gumbel.rng.gumbel(cos.shape)))
+        factor_scale = scale / gumbel.tau
     else:
-        factors = nm.softmax_rows(cos, scale=scale)
+        factors = _softmax(scale * cos)
+        factor_scale = scale
 
-    mixed = nm.weighted_mix(attn, factors, hidden)
-    ys = nm.layer_norm_rows(mixed, params.ln_gain, params.ln_bias)
+    mixed = np.einsum("ti,ik,id->tkd", attn, factors, hidden)
+    ys, xhat, inv = _layer_norm(mixed, params.ln_gain.data, params.ln_bias.data)
 
-    real = nm.gather_rows(params.embeddings, np.arange(params.num_nodes))
-    per_factor = nm.mul(nm.dot_rows(ys, real), scale)   # (t, K, N)
-    scores = nm.max_over_axis(per_factor, axis=1)       # (t, N)
-    return scores
+    table = params.embeddings.data[:params.num_nodes]
+    per_factor = np.einsum("...d,rd->...r", ys, table) * scale   # (t, K, N)
+    best = np.argmax(per_factor, axis=1)[:, None, :]
+    scores = np.take_along_axis(per_factor, best, axis=1)[:, 0, :]   # (t, N)
+    cache = SimpleNamespace(
+        positions=positions, keep=keep, xe=xe, hidden=hidden, z=z, r=r, cand=cand,
+        attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
+        factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys, best=best,
+    )
+    return scores, cache
+
+
+def _backward_positions(params: ModelParams, c: SimpleNamespace, d_scores: np.ndarray) -> None:
+    """Add the gradient of sum(d_scores * scores) into every ``Parameter.grad``,
+    for the scores and intermediates ``c`` of one ``_forward_positions`` call.
+    The Gumbel noise and the dropout mask are held fixed."""
+    t_total, d = c.hidden.shape
+    n = params.num_nodes
+    scale = 1.0 / math.sqrt(d)
+
+    # scoring: the max over K routes to the first argmax
+    d_pf = np.zeros(c.ys.shape[:2] + (n,))
+    np.put_along_axis(d_pf, c.best, d_scores[:, None, :] * scale, axis=1)
+    table = params.embeddings.data[:n]
+    d_ys = np.einsum("...r,rd->...d", d_pf, table)
+    params.embeddings.grad[:n] += d_pf.reshape(-1, n).T @ c.ys.reshape(-1, d)
+
+    # layer norm, then the weighted mix out[t,k] = sum_i attn[t,i] factors[i,k] hidden[i]
+    params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1))
+    params.ln_bias.grad += d_ys.sum(axis=(0, 1))
+    d_mixed = _layer_norm_backward(c.xhat, c.inv, params.ln_gain.data, d_ys)
+    d_attn = np.einsum("tkd,ik,id->ti", d_mixed, c.factors, c.hidden)
+    d_factors = np.einsum("tkd,ti,id->ik", d_mixed, c.attn, c.hidden)
+    d_hidden = np.einsum("tkd,ti,ik->id", d_mixed, c.attn, c.factors)
+
+    # factor softmax over scaled cosines, then the cosine through the norm clamp
+    d_cos = c.factor_scale * _softmax_backward(c.factors, d_factors)
+    d_hidden += _unit_rows_backward(c.unit_h, c.norm_h, d_cos @ c.unit_p)
+    params.prototypes.grad += _unit_rows_backward(c.unit_p, c.norm_p, d_cos.T @ c.unit_h)
+
+    # causal attention over hidden @ hidden.T; masked entries have p = 0
+    d_logits = scale * _softmax_backward(c.attn, d_attn)
+    d_hidden += d_logits @ c.hidden + d_logits.T @ c.hidden
+
+    # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
+    u_z, u_r, u_h = params.u_z.data, params.u_r.data, params.u_h.data
+    h_prev = np.vstack([np.zeros((1, d)), c.hidden[:-1]])
+    d_az, d_ar, d_ah = (np.empty((t_total, d)) for _ in range(3))
+    carry = np.zeros(d)
+    for t in range(t_total - 1, -1, -1):
+        z, r, cand = c.z[t], c.r[t], c.cand[t]
+        dh = d_hidden[t] + carry
+        d_ah[t] = dh * z * (1.0 - cand * cand)
+        d_rh = u_h @ d_ah[t]
+        d_ar[t] = d_rh * h_prev[t] * r * (1.0 - r)
+        d_az[t] = dh * (cand - h_prev[t]) * z * (1.0 - z)
+        carry = dh * (1.0 - z) + d_rh * r + u_r @ d_ar[t] + u_z @ d_az[t]
+
+    d_xe = 0.0
+    for w, u, b, d_a, inputs in (
+        (params.w_z, params.u_z, params.b_z, d_az, h_prev),
+        (params.w_r, params.u_r, params.b_r, d_ar, h_prev),
+        (params.w_h, params.u_h, params.b_h, d_ah, c.r * h_prev),
+    ):
+        u.grad += inputs.T @ d_a
+        w.grad += c.xe.T @ d_a
+        b.grad += d_a.sum(axis=0)
+        d_xe = d_xe + d_a @ w.data.T
+    if c.keep is not None:
+        d_xe = d_xe * c.keep
+    # rows repeat when a node recurs in the cascade: add.at accumulates them
+    np.add.at(params.embeddings.grad, c.positions, d_xe)
 
 
 def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
@@ -252,13 +410,20 @@ def forward_cascade(
         raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
     _check_indices(params, idx)
 
-    scores = _forward_positions(
+    scores, cache = _forward_positions(
         params, idx[:-1], gumbel, training, dropout_rate, dropout_rng
     )
-    targets = idx[1:]
-    steps = nm.sub(nm.logsumexp(scores), nm.take_per_row(scores, targets))
-    loss = nm.sum_all(steps)
-    return CascadeForward(loss=loss, step_losses=steps.data.copy())
+    rows, targets = np.arange(len(scores)), idx[1:]
+    mx = scores.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
+    steps = lse[:, 0] - scores[rows, targets]
+
+    def backward(g):
+        d_scores = np.exp(scores - lse) * g
+        d_scores[rows, targets] -= g
+        _backward_positions(params, cache, d_scores)
+
+    return CascadeForward(loss=Tensor(steps.sum(), backward), step_losses=steps)
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -270,8 +435,8 @@ def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
-    scores = _forward_positions(params, idx, None, False, 0.0, None)
-    return scores.data.copy()
+    scores, _ = _forward_positions(params, idx, None, False, 0.0, None)
+    return scores
 
 
 def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarray:

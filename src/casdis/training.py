@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.k < 1 or self.d < 2 or self.max_len < 2:
+            raise ValueError(f"need k >= 1, d >= 2 and max_len >= 2, got {self.k}, {self.d}, {self.max_len}")
 
 
 class NonFiniteGradientError(RuntimeError):

@@ -125,3 +125,39 @@ def test_corrupt_checkpoint_is_rejected(workspace, name):
 def test_unreadable_config_file_exits_with_the_input_code(tmp_path):
     missing = tmp_path / "missing.conf"
     assert cli.main(["synth", "--config", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("line", ["seed=abc", "epochs=1.5", "gumbel=On", "lr=fast"])
+def test_bad_config_file_value_is_a_usage_error(workspace, capsys, line):
+    tmp_path, data, _ = workspace
+    conf = tmp_path / "train.conf"
+    conf.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    code = cli.main(["train", "--config", str(conf), "--data", str(data), "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert f"{conf}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flags_refuse_what_config_files_refuse(workspace):
+    tmp_path, data, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--gumbel", "On", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "lr", "0"),
+    ("train", "batch-size", "0"),
+    ("train", "d", "1"),
+    ("train", "tau", "0"),
+    ("train", "dropout", "1.5"),
+    ("train", "max-len", "1"),
+    ("ablate", "k-list", "0"),
+], ids=lambda v: v)
+def test_invalid_hyperparameters_exit_before_any_output(workspace, command, flag, value):
+    tmp_path, data, _ = workspace
+    out = tmp_path / "run"
+    argv = [command, f"--{flag}", value, "--data", str(data), "--out", str(out), "--epochs", "1"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not out.exists()

@@ -4,9 +4,24 @@ import numpy as np
 import pytest
 
 from casdis import model as md
-from casdis.numerics import RngState
+from casdis.numerics import RngState, finite_difference_gradient
 
-from test_numerics import check_gradients
+from test_numerics import max_rel_err
+
+
+def check_gradients(build, params, seed=1.0, h=1e-5, tol=1e-4):
+    """Closed-form gradients of the loss build() returns vs the
+    central-difference oracle.  The backward runs twice on one loss, seeded
+    with ``seed`` each time, so the gradients must add up to 2 * seed times
+    the derivative."""
+    for p in params:
+        p.reset_gradient()
+    loss = build()
+    loss.backward(seed)
+    loss.backward(seed)
+    estimates = finite_difference_gradient(lambda: float(build().data), params, h=h)
+    for p, e in zip(params, estimates):
+        assert max_rel_err(p.grad, 2.0 * seed * e) < tol, f"gradient mismatch for {p.name}"
 
 
 def small_params(num_nodes=6, dim=4, factors=3, seed=0):
@@ -167,6 +182,27 @@ def test_step_loss_gradients_through_whole_pipeline():
         ).loss
 
     check_gradients(build, params.parameters())
+
+
+@pytest.mark.parametrize("factors, cascade, tau, dropout", [
+    (1, [0, 3, 2, 5, 1], None, 0.0),
+    (2, [4, 1, 4, 4, 0, 2], 1.0, 0.0),     # node 4 is infected three times
+    (2, [5, 0, 3, 1], 1.6, 0.3),
+    (4, [2, 5, 2, 0, 2, 3, 1], 0.5, 0.3),  # node 2 again, Gumbel and dropout on
+], ids=["k1", "k2-repeated-node", "k2-gumbel-dropout", "k4-repeated-node-gumbel-dropout"])
+def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
+    params = small_params(num_nodes=6, dim=4, factors=factors, seed=30 + factors)
+    params.ln_gain.data[:] = [0.7, 1.3, 0.9, 1.1]
+    params.ln_bias.data[:] = [0.2, -0.1, 0.0, 0.3]
+
+    def build():
+        gumbel = None if tau is None else md.GumbelConfig(tau=tau, rng=RngState(6))
+        return md.forward_cascade(
+            params, cascade, gumbel=gumbel, training=True,
+            dropout_rate=dropout, dropout_rng=RngState(7),
+        ).loss
+
+    check_gradients(build, params.parameters(), seed=0.3)
 
 
 # ---------------------------------------------------------------------------

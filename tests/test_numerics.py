@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from casdis import model as md
 from casdis import numerics as nm
 from casdis.model import GumbelConfig
-from casdis.numerics import Parameter, RngState
+from casdis.numerics import Parameter, RngState, Tensor
 
 
 def max_rel_err(a, b):
@@ -14,15 +15,12 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
-def check_gradients(build, params, h=1e-5, tol=1e-4):
-    """Analytic gradients of build() vs the central-difference oracle."""
-    for p in params:
-        p.reset_gradient()
-    build().backward()
-    analytic = [p.grad.copy() for p in params]
-    estimates = nm.finite_difference_gradient(lambda: float(build().data), params, h=h)
-    for p, a, e in zip(params, analytic, estimates):
-        assert max_rel_err(a, e) < tol, f"gradient mismatch for {p.name}"
+def check_rule(f, grads, params, h=1e-5, tol=1e-4):
+    """Gradients of the scalar f() given by a kernel's backward rule vs the
+    central-difference oracle."""
+    estimates = nm.finite_difference_gradient(f, params, h=h)
+    for p, g, e in zip(params, grads, estimates):
+        assert max_rel_err(g, e) < tol, f"gradient mismatch for {p.name}"
 
 
 # ---------------------------------------------------------------------------
@@ -30,13 +28,13 @@ def check_gradients(build, params, h=1e-5, tol=1e-4):
 
 
 def test_softmax_equal_logits_is_uniform():
-    out = nm.softmax([0.0, 0.0, 0.0])
+    out = md._softmax([0.0, 0.0, 0.0])
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_softmax_single_unmasked_position():
-    out = nm.softmax([5.0, -123.0], mask=[True, False])
+    out = md._softmax([5.0, -123.0], mask=[True, False])
     assert out[0] == 1.0
     assert out[1] == 0.0
 
@@ -44,7 +42,7 @@ def test_softmax_single_unmasked_position():
 def test_softmax_two_logits_matches_direct_evaluation():
     # oracle: e^0.5 / (e^0.5 + e^0) computed directly
     expect = math.exp(0.5) / (math.exp(0.5) + 1.0)
-    out = nm.softmax([0.5, 0.0])
+    out = md._softmax([0.5, 0.0])
     assert abs(out[0] - expect) < 1e-5
     assert abs(out[0] - 0.62246) < 1e-5
     assert abs(out[1] - 0.37754) < 1e-5
@@ -54,30 +52,30 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.normal(size=7) * 10
-        shifted = nm.softmax(x + 123.456)
-        assert np.max(np.abs(shifted - nm.softmax(x))) < 1e-9
+        shifted = md._softmax(x + 123.456)
+        assert np.max(np.abs(shifted - md._softmax(x))) < 1e-9
 
 
 def test_softmax_handles_large_logits():
-    out = nm.softmax([1000.0, 1000.0, -1000.0])
+    out = md._softmax([1000.0, 1000.0, -1000.0])
     assert np.isfinite(out).all()
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_softmax_errors():
     with pytest.raises(ValueError):
-        nm.softmax([])
+        md._softmax([])
     with pytest.raises(ValueError):
-        nm.softmax([1.0, 2.0], mask=[False, False])
+        md._softmax([1.0, 2.0], mask=[False, False])
     with pytest.raises(ValueError):
-        nm.softmax([1.0, 2.0], mask=[True])
+        md._softmax([1.0, 2.0], mask=[True])
 
 
 def test_softmax_masked_rows_are_exactly_zero():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 6))
     mask = np.tril(np.ones((4, 6), dtype=bool))
-    out = nm.softmax(x, mask)
+    out = md._softmax(x, mask)
     assert (out[~mask] == 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
@@ -87,7 +85,7 @@ def test_softmax_masked_rows_are_exactly_zero():
 
 
 def layer_norm(v, gain, bias):
-    return nm.layer_norm_rows(np.asarray(v, dtype=np.float64), gain, bias).data
+    return md._layer_norm(np.asarray(v, dtype=np.float64), gain, bias)[0]
 
 
 def test_layer_norm_constant_input_is_zero():
@@ -129,9 +127,9 @@ def test_layer_norm_shape_mismatch():
 
 
 def cosine(a, b):
-    unit_a = nm.unit_rows(np.array([a], dtype=np.float64))
-    unit_b = nm.unit_rows(np.array([b], dtype=np.float64))
-    return float(nm.dot_rows(unit_a, unit_b).data[0, 0])
+    unit_a, _ = md._unit_rows(np.array([a], dtype=np.float64))
+    unit_b, _ = md._unit_rows(np.array([b], dtype=np.float64))
+    return float(np.einsum("...d,rd->...r", unit_a, unit_b)[0, 0])
 
 
 def test_cosine_orthogonal():
@@ -168,10 +166,11 @@ def test_cosine_bounded_and_zero_norm_safe():
 # gumbel softmax, as the model draws it: softmax((logits + g) / tau)
 
 
-class _ConstantRng:
+class _ConstantRng(RngState):
     """Stand-in rng whose uniform draws are all the same value."""
 
     def __init__(self, value):
+        super().__init__(0)
         self.value = value
 
     def uniform(self, size=None):
@@ -180,7 +179,7 @@ class _ConstantRng:
 
 def gumbel_softmax(logits, tau, rng):
     x = np.asarray(logits, dtype=np.float64)
-    return nm.softmax_rows(x + nm.gumbel_noise(x.shape, rng), scale=1.0 / tau).data
+    return md._softmax(1.0 / tau * (x + rng.gumbel(x.shape)))
 
 
 def test_gumbel_equal_logits_identical_noise():
@@ -217,7 +216,7 @@ def test_gumbel_bit_reproducible():
 def test_gumbel_argmax_frequency_matches_gumbel_max():
     # oracle: P(argmax = 0) for logits [ln 3, 0] is 3/4 by the Gumbel-max property
     logits = np.array([math.log(3.0), 0.0])
-    noise = nm.gumbel_noise((100_000, 2), RngState(12345))
+    noise = RngState(12345).gumbel((100_000, 2))
     wins = ((logits + noise).argmax(axis=1) == 0).mean()
     assert abs(wins - 0.75) < 0.01
 
@@ -234,7 +233,7 @@ def test_fd_of_square():
 
 def test_fd_of_constant_function():
     p = Parameter(np.array([0.4, -1.2, 0.0]), "x")
-    (grad,) = nm.finite_difference_gradient(lambda: float(nm.softmax(p.data).sum()), [p], h=1e-5)
+    (grad,) = nm.finite_difference_gradient(lambda: float(md._softmax(p.data).sum()), [p], h=1e-5)
     assert np.max(np.abs(grad)) < 1e-7
 
 
@@ -251,166 +250,81 @@ def test_fd_rejects_bad_step():
 
 
 # ---------------------------------------------------------------------------
-# analytic gradients of every primitive vs the oracle
-
-
-def test_grad_matmul_2d_2d():
-    rng = np.random.default_rng(10)
-    a = Parameter(rng.normal(size=(5, 7)), "a")
-    b = Parameter(rng.normal(size=(7, 3)), "b")
-    w = rng.normal(size=(5, 3))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.matmul(a, b), w)), [a, b])
-
-
-def test_grad_matmul_vector_cases():
-    # vector operands have no backward rule, so they are refused
-    a = Parameter(np.ones((6, 4)), "a")
-    for left, right in ((a, np.ones(4)), (np.ones(6), a), (np.ones(6), np.ones(6))):
-        with pytest.raises(ValueError):
-            nm.matmul(left, right)
-
-
-def test_grad_add_sub_mul_broadcast():
-    rng = np.random.default_rng(12)
-    a = Parameter(rng.normal(size=(4, 5)), "a")
-    b = Parameter(rng.normal(size=5), "b")
-    w = rng.normal(size=(4, 5))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.add(a, b), w)), [a, b])
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.sub(a, b), w)), [a, b])
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.mul(a, b), w)), [a, b])
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.sub(1.0, a), w)), [a])
-
-
-def test_grad_sigmoid_tanh():
-    rng = np.random.default_rng(13)
-    x = Parameter(rng.normal(size=(8, 8)) * 2, "x")
-    w = rng.normal(size=(8, 8))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.sigmoid(x), w)), [x])
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.tanh(x), w)), [x])
+# the kernels' backward rules vs the oracle, each for sum(w * kernel(x))
 
 
 def test_grad_softmax_rows():
     rng = np.random.default_rng(14)
     x = Parameter(rng.normal(size=(4, 6)), "x")
     w = rng.normal(size=(4, 6))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.softmax_rows(x, scale=0.5), w)), [x])
     mask = np.tril(np.ones((4, 6), dtype=bool))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.softmax_rows(x, mask=mask, scale=1.3), w)), [x])
+    for scale, m in ((0.5, None), (1.3, mask)):
+        grad = scale * md._softmax_backward(md._softmax(scale * x.data, m), w)
+        check_rule(lambda: (w * md._softmax(scale * x.data, m)).sum(), [grad], [x])
 
 
 def test_grad_layer_norm_rows():
     rng = np.random.default_rng(15)
-    x = Parameter(rng.normal(size=(5, 6)), "x")
-    gain = Parameter(rng.uniform(0.5, 1.5, size=6), "gain")
-    bias = Parameter(rng.normal(size=6), "bias")
-    w = rng.normal(size=(5, 6))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.layer_norm_rows(x, gain, bias), w)), [x, gain, bias])
-    x3 = Parameter(rng.normal(size=(3, 2, 6)), "x3")
-    w3 = rng.normal(size=(3, 2, 6))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.layer_norm_rows(x3, gain, bias), w3)), [x3, gain, bias])
+    gain = rng.uniform(0.5, 1.5, size=6)
+    for shape in ((5, 6), (3, 2, 6)):
+        x = Parameter(rng.normal(size=shape), "x")
+        w = rng.normal(size=shape)
+        _, xhat, inv = md._layer_norm(x.data, gain, 0.3)
+        grad = md._layer_norm_backward(xhat, inv, gain, w)
+        check_rule(lambda: (w * md._layer_norm(x.data, gain, 0.3)[0]).sum(), [grad], [x])
 
 
 def test_grad_unit_rows_and_cosine():
+    # the model's cosine matrix unit(a) @ unit(b).T
     rng = np.random.default_rng(16)
     a = Parameter(rng.normal(size=(3, 5)), "a")
     b = Parameter(rng.normal(size=(4, 5)), "b")
     w = rng.normal(size=(3, 4))
-
-    def cos_matrix():
-        return nm.sum_all(nm.mul(nm.dot_rows(nm.unit_rows(a), nm.unit_rows(b)), w))
-
-    check_gradients(cos_matrix, [a, b])
+    (ua, na), (ub, nb) = md._unit_rows(a.data), md._unit_rows(b.data)
+    grads = [md._unit_rows_backward(ua, na, w @ ub), md._unit_rows_backward(ub, nb, w.T @ ua)]
+    check_rule(lambda: (w * (md._unit_rows(a.data)[0] @ md._unit_rows(b.data)[0].T)).sum(), grads, [a, b])
+    # below the clamp the norm is a constant and only the direct term remains
+    tiny = np.full((1, 3), 1e-14)
+    assert (md._unit_rows_backward(*md._unit_rows(tiny), np.ones((1, 3))) == 1.0 / nm.NORM_FLOOR).all()
 
 
 def test_grad_gumbel_with_frozen_noise():
+    # the model's factor softmax: softmax((scale * logits + g) / tau)
     rng = np.random.default_rng(17)
     logits = Parameter(rng.normal(size=(3, 4)), "logits")
-    noise = nm.gumbel_noise((3, 4), RngState(5))
+    noise = RngState(5).gumbel((3, 4))
     w = rng.normal(size=(3, 4))
-    tau = 0.8
+    scale, tau = 0.5, 0.8
 
     def sample():
-        noisy = nm.add(nm.mul(logits, 0.5), noise)
-        return nm.sum_all(nm.mul(nm.softmax_rows(noisy, scale=1.0 / tau), w))
+        return md._softmax(1.0 / tau * (logits.data * scale + noise))
 
-    check_gradients(sample, [logits])
-
-
-def test_grad_gather_stack():
-    rng = np.random.default_rng(18)
-    x = Parameter(rng.normal(size=(6, 4)), "x")
-    idx = np.array([0, 2, 2, 5])  # duplicate rows must accumulate
-    w = rng.normal(size=(4, 4))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.gather_rows(x, idx), w)), [x])
-    w2 = rng.normal(size=(2, 2, 4))
-    check_gradients(
-        lambda: nm.sum_all(
-            nm.mul(nm.stack_rows([nm.gather_rows(x, [1, 4]), nm.gather_rows(x, [4, 0])]), w2)
-        ),
-        [x],
-    )
-
-
-def test_grad_weighted_mix():
-    rng = np.random.default_rng(19)
-    alpha = Parameter(rng.uniform(size=(4, 4)), "alpha")
-    beta = Parameter(rng.uniform(size=(4, 3)), "beta")
-    states = Parameter(rng.normal(size=(4, 5)), "states")
-    w = rng.normal(size=(4, 3, 5))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.weighted_mix(alpha, beta, states), w)), [alpha, beta, states])
-
-
-def test_grad_max_logsumexp_take():
-    rng = np.random.default_rng(20)
-    x = Parameter(rng.normal(size=(4, 3, 6)), "x")
-    w = rng.normal(size=(4, 6))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.max_over_axis(x, axis=1), w)), [x])
-    y = Parameter(rng.normal(size=(5, 7)), "y")
-    w2 = rng.normal(size=5)
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.logsumexp(y), w2)), [y])
-    idx = np.array([1, 6, 0, 3, 3])
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.take_per_row(y, idx), w2)), [y])
-
-
-def test_grad_fused_recurrence_ops():
-    rng = np.random.default_rng(23)
-    a = Parameter(rng.normal(size=(5, 4)), "a")
-    h = Parameter(rng.normal(size=4), "h")
-    u = Parameter(rng.normal(size=(4, 4)), "u")
-    w = rng.normal(size=4)
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.gate_preact(a, 2, h, u), w)), [a, h, u])
-    z = Parameter(rng.uniform(0.1, 0.9, size=4), "z")
-    cand = Parameter(rng.normal(size=4), "cand")
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.gru_blend(z, h, cand), w)), [z, h, cand])
-    # fused forms agree with the plain formulas
-    assert np.max(np.abs(a.data[2] + h.data @ u.data - nm.gate_preact(a, 2, h, u).data)) < 1e-15
-    blend = (1.0 - z.data) * h.data + z.data * cand.data
-    assert np.max(np.abs(blend - nm.gru_blend(z, h, cand).data)) < 1e-15
-
-
-def test_grad_dot_rows_2d():
-    rng = np.random.default_rng(21)
-    y = Parameter(rng.normal(size=(3, 4)), "y")
-    m = Parameter(rng.normal(size=(5, 4)), "m")
-    w = rng.normal(size=(3, 5))
-    check_gradients(lambda: nm.sum_all(nm.mul(nm.dot_rows(y, m), w)), [y, m])
+    grad = scale / tau * md._softmax_backward(sample(), w)
+    check_rule(lambda: (w * sample()).sum(), [grad], [logits])
 
 
 def test_gradient_accumulation_until_reset():
     p = Parameter(np.array([2.0]), "p")
-    nm.sum_all(nm.mul(p, 3.0)).backward()
-    nm.sum_all(nm.mul(p, 3.0)).backward()
-    assert p.grad[0] == pytest.approx(6.0)
+
+    def backward(g):
+        p.grad += 3.0 * g
+
+    loss = Tensor(3.0 * p.data.sum(), backward)
+    loss.backward()
+    loss.backward(0.5)
+    assert p.grad[0] == pytest.approx(4.5)
     p.reset_gradient()
     assert p.grad[0] == 0.0
+    with pytest.raises(ValueError):
+        loss.backward(np.ones(2))
 
 
 def test_finite_outputs_on_random_pipelines():
     rng = np.random.default_rng(22)
     for _ in range(10):
-        x = Parameter(rng.normal(size=(5, 6)) * 50, "x")
-        out = nm.layer_norm_rows(nm.softmax_rows(x, scale=2.0), np.ones(6), np.zeros(6))
-        assert np.isfinite(out.data).all()
+        x = rng.normal(size=(5, 6)) * 50
+        out, _, _ = md._layer_norm(md._softmax(2.0 * x), np.ones(6), np.zeros(6))
+        assert np.isfinite(out).all()
 
 
 # ---------------------------------------------------------------------------
