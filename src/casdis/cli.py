@@ -192,16 +192,6 @@ def _split(config: dict, cascades):
     return split_dataset(cascades, split_seed)
 
 
-def _n_values(config: dict):
-    try:
-        values = tuple(int(x) for x in str(config["n_list"]).split(",") if x.strip())
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"bad --n-list value {config['n_list']!r}")
-    if not values:
-        raise CliError(EXIT_USAGE, "--n-list must name at least one cutoff")
-    return values
-
-
 def cmd_train(config: dict) -> int:
     train_config = _train_config(config)  # validate inputs before creating outputs
     parsed = _read_data(config)
@@ -230,6 +220,7 @@ def cmd_eval(config: dict, given: dict) -> int:
     ckpt_path = config.get("checkpoint")
     if not ckpt_path:
         raise CliError(EXIT_USAGE, "--checkpoint is required")
+    n_values = _int_list(config["n_list"], "--n-list")
     parsed = _read_data(config)
     try:
         params, seed = load_checkpoint(ckpt_path)
@@ -254,7 +245,7 @@ def cmd_eval(config: dict, given: dict) -> int:
     out_dir = _ensure_out_dir(config)
     write_resolved_config(out_dir, config)
     split = _split(config, parsed.cascades)
-    report = evaluate(params, split.test, _n_values(config))
+    report = evaluate(params, split.test, n_values)
 
     table = format_report(report)
     print(table)
@@ -264,25 +255,28 @@ def cmd_eval(config: dict, given: dict) -> int:
 
 
 def _int_list(raw: str, flag: str):
+    """The comma-separated integers of ``raw``; each must be at least 1."""
     try:
-        values = [int(x) for x in str(raw).split(",") if x.strip()]
+        values = tuple(int(x) for x in str(raw).split(",") if x.strip())
     except ValueError:
         raise CliError(EXIT_USAGE, f"bad {flag} value {raw!r}")
     if not values:
         raise CliError(EXIT_USAGE, f"{flag} must name at least one value")
+    if min(values) < 1:
+        raise CliError(EXIT_USAGE, f"every {flag} value must be >= 1, got {raw!r}")
     return values
 
 
 def cmd_ablate(config: dict) -> int:
     k_list = _int_list(config.get("k_list") or str(config["k"]), "--k-list")
     d_list = _int_list(config.get("d_list") or str(config["d"]), "--d-list")
+    n_values = _int_list(config["n_list"], "--n-list")
     cells = [(k, d, _train_config(dict(config, k=k, d=d))) for k in k_list for d in d_list]
     parsed = _read_data(config)
     out_dir = _ensure_out_dir(config)
     write_resolved_config(out_dir, config)
 
     split = _split(config, parsed.cascades)     # shared across all cells
-    n_values = _n_values(config)
     header = ["k", "d"] + [f"hits@{n}" for n in n_values] + [f"map@{n}" for n in n_values]
     rows = [",".join(header)]
     for k, d, train_config in cells:

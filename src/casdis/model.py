@@ -183,6 +183,7 @@ def _forward_positions(
     training: bool,
     dropout_rate: float,
     dropout_rng: Optional[RngState],
+    rows=slice(None),
 ):
     """Candidate scores for all prefixes of ``positions`` in one pass.
 
@@ -190,6 +191,11 @@ def _forward_positions(
     and the intermediates ``_backward_positions`` needs.  Factor weights are
     computed once per position (they do not depend on the prefix length), and
     attention rows are masked to i <= t.
+
+    ``rows`` (a slice or index array over the t positions) limits attention,
+    the mix, layer norm and scoring to those prefixes: the GRU and the factor
+    weights still run over every position, and the scores have one row per
+    selected prefix.  Only the default, every row, can be differentiated.
     """
     t_total = len(positions)
     d = params.dim
@@ -216,8 +222,8 @@ def _forward_positions(
         cand[t] = np.tanh(a_h[t] + (r[t] * h) @ params.u_h.data)
         h = hidden[t] = (1.0 - z[t]) * h + z[t] * cand[t]
 
-    causal = np.tri(t_total, dtype=bool)
-    attn = softmax_rows(scale * dot_rows(hidden, hidden), causal)
+    causal = np.tri(t_total, dtype=bool)[rows]
+    attn = softmax_rows(scale * dot_rows(hidden[rows], hidden), causal)
 
     unit_h, norm_h = unit_rows(hidden)
     unit_p, norm_p = unit_rows(params.prototypes.data)
@@ -235,10 +241,11 @@ def _forward_positions(
     mixed = weighted_mix(attn, factors, hidden)
     ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
 
-    # dot_rows written out: the benchmark's tracer sizes a scoring-stage
-    # dot_rows call from its arguments' .data, which plain arrays lack
+    # one GEMM, written out rather than through dot_rows: the benchmark's
+    # tracer sizes a scoring-stage dot_rows call from its arguments' .data,
+    # which plain arrays lack
     table = params.embeddings.data[:params.num_nodes]
-    per_factor = np.einsum("...d,rd->...r", ys, table) * scale   # (t, K, N)
+    per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,)) * scale  # (t, K, N)
     scores, best = max_over_axis(per_factor, 1)   # (t, N), (t, 1, N)
     cache = SimpleNamespace(
         positions=positions, keep=keep, xe=xe, hidden=hidden, z=z, r=r, cand=cand,
@@ -260,16 +267,19 @@ def _backward_positions(params: ModelParams, c: SimpleNamespace, d_scores: np.nd
     d_pf = np.zeros(c.ys.shape[:2] + (n,))
     np.put_along_axis(d_pf, c.best, d_scores[:, None, :] * scale, axis=1)
     table = params.embeddings.data[:n]
-    d_ys = np.einsum("...r,rd->...d", d_pf, table)
+    d_ys = (d_pf.reshape(-1, n) @ table).reshape(c.ys.shape)
     params.embeddings.grad[:n] += d_pf.reshape(-1, n).T @ c.ys.reshape(-1, d)
 
-    # layer norm, then the weighted mix out[t,k] = sum_i attn[t,i] factors[i,k] hidden[i]
+    # layer norm, then the weighted mix out = attn @ fh, with the (t, K*D)
+    # block fh[i, k] = factors[i, k] hidden[i]
     params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1))
     params.ln_bias.grad += d_ys.sum(axis=(0, 1))
-    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys)
-    d_attn = np.einsum("tkd,ik,id->ti", d_mixed, c.factors, c.hidden)
-    d_factors = np.einsum("tkd,ti,id->ik", d_mixed, c.attn, c.hidden)
-    d_hidden = np.einsum("tkd,ti,ik->id", d_mixed, c.attn, c.factors)
+    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys).reshape(t_total, -1)
+    fh = (c.factors[:, :, None] * c.hidden[:, None, :]).reshape(t_total, -1)
+    d_attn = d_mixed @ fh.T
+    d_fh = (c.attn.T @ d_mixed).reshape(c.ys.shape)
+    d_factors = np.einsum("ikd,id->ik", d_fh, c.hidden)
+    d_hidden = np.einsum("ikd,ik->id", d_fh, c.factors)
 
     # factor softmax over scaled cosines, then the cosine through the norm clamp
     d_cos = c.factor_scale * softmax_rows_backward(c.factors, d_factors)
@@ -353,26 +363,38 @@ def forward_cascade(
     return CascadeForward(loss=Tensor(steps.sum(), backward), step_losses=steps)
 
 
+def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -> np.ndarray:
+    """Check ``prefix``, then give the evaluation-mode scores of its prefixes ``rows``."""
+    idx = np.asarray(prefix, dtype=np.intp)
+    if len(idx) < 1:
+        raise ValueError("prefix must contain at least one node")
+    _check_indices(params, idx)
+    scores, _ = _forward_positions(params, idx, None, False, 0.0, None, rows)
+    return scores
+
+
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
     """Evaluation-mode candidate scores for every prefix of ``prefix``.
 
     Row t scores the next node after the first t+1 entries.
     """
-    idx = np.asarray(prefix, dtype=np.intp)
-    if len(idx) < 1:
-        raise ValueError("prefix must contain at least one node")
-    _check_indices(params, idx)
-    scores, _ = _forward_positions(params, idx, None, False, 0.0, None)
-    return scores
+    return _eval_scores(params, prefix)
 
 
 def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarray:
-    """Top-n candidate nodes after ``prefix``, ties broken by ascending index."""
+    """Top-n candidate nodes after ``prefix``, ties broken by ascending index.
+
+    Only the whole prefix is scored (the last row of ``prefix_scores``), and
+    only the nodes that tie with or beat the n-th best score are sorted.
+    """
     if n < 0 or n > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
-    scores = prefix_scores(params, prefix)[-1]
-    order = np.argsort(-scores, kind="stable")
-    return order[:n]
+    neg = -_eval_scores(params, prefix, slice(-1, None))[0]
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(neg, n - 1)[n - 1]
+    cand = np.flatnonzero(neg <= kth)   # ascending node index
+    return cand[np.argsort(neg[cand], kind="stable")][:n]
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,9 @@ def softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def dot_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Dot product of every last-axis vector of ``x`` with every row of the
-    2-D ``rows``: shape ``x.shape[:-1] + (len(rows),)``."""
-    return np.einsum("...d,rd->...r", x, rows)
+    2-D ``rows``: shape ``x.shape[:-1] + (len(rows),)``.  One matrix
+    product, so it runs as a BLAS GEMM."""
+    return x @ rows.T
 
 
 def unit_rows(x: np.ndarray):
@@ -180,8 +181,15 @@ def unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.nd
 
 
 def weighted_mix(attn: np.ndarray, factors: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i], shape (t, K, D)."""
-    return np.einsum("ti,ik,id->tkd", attn, factors, hidden)
+    """out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i] for every row t
+    of the (rows, T) ``attn``, shape (rows, K, D).
+
+    Runs as one GEMM of ``attn`` against the (T, K*D) block
+    ``factors[i, k] * hidden[i]``.
+    """
+    total, k = factors.shape
+    block = (factors[:, :, None] * hidden[:, None, :]).reshape(total, -1)
+    return (attn @ block).reshape(len(attn), k, -1)
 
 
 def layer_norm_rows(x: np.ndarray, gain, bias, epsilon: float = 1e-8):

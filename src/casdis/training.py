@@ -54,6 +54,10 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.patience < 1 or self.lr_patience < 1:
+            raise ValueError(f"patience and lr_patience must be >= 1, got {self.patience}, {self.lr_patience}")
+        if not self.clip_norm >= 0:  # also refuses NaN
+            raise ValueError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
         if self.k < 1 or self.d < 2 or self.max_len < 2:
             raise ValueError(f"need k >= 1, d >= 2 and max_len >= 2, got {self.k}, {self.d}, {self.max_len}")
 

@@ -154,6 +154,10 @@ def test_flags_refuse_what_config_files_refuse(workspace):
     ("train", "dropout", "1.5"),
     ("train", "max-len", "1"),
     ("ablate", "k-list", "0"),
+    ("train", "patience", "-1"),
+    ("train", "lr-patience", "0"),
+    ("train", "clip-norm", "-1"),
+    ("ablate", "n-list", "10,0"),
 ], ids=lambda v: v)
 def test_invalid_hyperparameters_exit_before_any_output(workspace, command, flag, value):
     tmp_path, data, _ = workspace
@@ -161,3 +165,19 @@ def test_invalid_hyperparameters_exit_before_any_output(workspace, command, flag
     argv = [command, f"--{flag}", value, "--data", str(data), "--out", str(out), "--epochs", "1"]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--n-list=0", "--n-list=-5", "--n-list=10,-1"])
+def test_eval_refuses_cutoffs_below_one(workspace, flag):
+    code, out = run_eval(workspace, flag)
+    assert code == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_clip_norm_zero_still_means_no_clipping(workspace):
+    tmp_path, data, _ = workspace
+    out = tmp_path / "run"
+    argv = ["train", "--clip-norm", "0", "--k", "2", "--d", "4", "--epochs", "1",
+            "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "clip_norm=0.0" in (out / "config.resolved").read_text().splitlines()

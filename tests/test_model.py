@@ -304,10 +304,45 @@ def test_predict_tie_break_prefers_lower_index():
 def test_predict_matches_full_sort_oracle():
     params = small_params(num_nodes=12, dim=6, factors=3, seed=21)
     prefix = [3, 7, 0, 11]
-    top = md.predict_topn(params, prefix, 12)
     scores = md.prefix_scores(params, prefix)[-1]
     expect = sorted(range(12), key=lambda v: (-scores[v], v))
-    assert top.tolist() == expect
+    for n in range(13):
+        assert md.predict_topn(params, prefix, n).tolist() == expect[:n]
+
+
+def test_last_row_scores_equal_the_last_prefix_row():
+    rng = np.random.default_rng(26)
+    for factors in (1, 2, 3, 4):
+        for length in range(1, 9):
+            params, _ = random_model(rng, factors, seed=10 * factors + length)
+            prefix = rng.integers(0, params.num_nodes, size=length)
+            full = md.prefix_scores(params, prefix)
+            some = rng.permutation(length)[: 1 + length // 2]
+            for rows in (slice(-1, None), some):
+                part, _ = md._forward_positions(params, prefix, None, False, 0.0, None, rows)
+                assert part.shape == full[rows].shape
+                assert np.max(np.abs(part - full[rows])) <= 1e-12 * np.max(np.abs(full[rows]))
+
+
+def test_predict_topn_equals_the_stable_full_sort_across_ties():
+    # exact, frequent ties: zero LN gain makes every mixed state the LN bias,
+    # and bias and embeddings are multiples of 1/4, so each score is an exact
+    # dot product of small dyadic numbers
+    rng = np.random.default_rng(27)
+    params = md.init_params(30, 4, 3, RngState(27))
+    params.ln_gain.data[:] = 0.0
+    params.ln_bias.data[:] = rng.integers(-4, 5, 4) / 4
+    params.embeddings.data[:] = rng.integers(-1, 2, (31, 4)) / 4
+    prefix = [3, 17, 0, 29, 3]
+    last = md.prefix_scores(params, prefix)[-1]
+    expect = np.argsort(-last, kind="stable")
+    # cuts inside a run of equal scores, where the lower index must win
+    inside = [n for n in range(1, 30) if last[expect[n - 1]] == last[expect[n]]]
+    assert len(inside) >= 5
+    for n in [0, 1, *inside, 30]:
+        top = md.predict_topn(params, prefix, n)
+        assert top.dtype == np.intp
+        assert top.tolist() == expect[:n].tolist(), n
 
 
 def test_predict_validations():

@@ -162,6 +162,33 @@ def test_cosine_bounded_and_zero_norm_safe():
 
 
 # ---------------------------------------------------------------------------
+# the GEMM-shaped kernels against their einsum definitions
+
+
+def test_dot_rows_matches_einsum_definition():
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(7, 5))
+    for shape in ((5,), (3, 5), (4, 2, 5)):
+        x = rng.normal(size=shape)
+        out = nm.dot_rows(x, rows)
+        assert out.shape == shape[:-1] + (7,)
+        assert max_rel_err(out, np.einsum("...d,rd->...r", x, rows)) < 1e-12
+
+
+def test_weighted_mix_matches_einsum_definition():
+    rng = np.random.default_rng(10)
+    for total, k, d in ((1, 1, 2), (6, 3, 4), (9, 4, 5)):
+        factors = nm.softmax_rows(rng.normal(size=(total, k)))
+        hidden = rng.normal(size=(total, d))
+        attn = nm.softmax_rows(rng.normal(size=(total, total)), np.tri(total, dtype=bool))
+        for rows in (slice(None), slice(-1, None), np.array([0, total - 1])):
+            out = nm.weighted_mix(attn[rows], factors, hidden)
+            expect = np.einsum("ti,ik,id->tkd", attn[rows], factors, hidden)
+            assert out.shape == expect.shape
+            assert max_rel_err(out, expect) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # gumbel softmax, as the model draws it: softmax((logits + g) / tau)
 
 
