@@ -200,7 +200,7 @@ def cmd_train(config: dict) -> int:
 
     split = _split(config, parsed.cascades)
     result = train(train_config, split, parsed.vocabulary.size)
-    save_checkpoint(out_dir / "model.ckpt", result.params, config["seed"])
+    save_checkpoint(out_dir / "model.ckpt", result.params, config["seed"], parsed.vocabulary)
     write_train_log(out_dir / "train_log.csv", result.log)
 
     if result.stopped.startswith("nan_gradient") or result.stopped == "diverged":
@@ -215,7 +215,8 @@ def cmd_eval(config: dict, given: dict) -> int:
     """Rank the test part of the split the checkpoint was trained on.
 
     Seed, K and D come from the checkpoint; a value given explicitly (flag
-    or config file) that disagrees with it is a mismatch.
+    or config file) that disagrees with it is a mismatch, and so is data
+    whose node vocabulary differs from the one the checkpoint stores.
     """
     ckpt_path = config.get("checkpoint")
     if not ckpt_path:
@@ -223,7 +224,7 @@ def cmd_eval(config: dict, given: dict) -> int:
     n_values = _int_list(config["n_list"], "--n-list")
     parsed = _read_data(config)
     try:
-        params, seed = load_checkpoint(ckpt_path)
+        params, seed = load_checkpoint(ckpt_path, parsed.vocabulary)
     except OSError as err:
         raise CliError(EXIT_INPUT, f"cannot read checkpoint {ckpt_path}: {err}")
     except ValueError as err:

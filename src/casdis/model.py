@@ -19,6 +19,7 @@ the backward to finite differences.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -243,10 +244,13 @@ def _forward_positions(
 
     # one GEMM, written out rather than through dot_rows: the benchmark's
     # tracer sizes a scoring-stage dot_rows call from its arguments' .data,
-    # which plain arrays lack
+    # which plain arrays lack.  The product is a fresh array, so it is scaled
+    # in place; each candidate then scores by its best factor, and ``best``
+    # keeps the first factor that reaches that score for the backward.
     table = params.embeddings.data[:params.num_nodes]
-    per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,)) * scale  # (t, K, N)
-    scores, best = max_over_axis(per_factor, 1)   # (t, N), (t, 1, N)
+    per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
+    per_factor *= scale
+    scores, best = max_over_axis(per_factor, 1)   # (t, N), (t, 1, N) factor index
     cache = SimpleNamespace(
         positions=positions, keep=keep, xe=xe, hidden=hidden, z=z, r=r, cand=cand,
         attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
@@ -263,9 +267,9 @@ def _backward_positions(params: ModelParams, c: SimpleNamespace, d_scores: np.nd
     n = params.num_nodes
     scale = 1.0 / math.sqrt(d)
 
-    # scoring: the max over K routes to the first argmax
-    d_pf = np.zeros(c.ys.shape[:2] + (n,))
-    np.put_along_axis(d_pf, c.best, d_scores[:, None, :] * scale, axis=1)
+    # scoring: the max over K routes each score's gradient to the first
+    # factor that reached the maximum, zero to every other factor
+    d_pf = (c.best == np.arange(params.factors, dtype=c.best.dtype)[:, None]) * (d_scores * scale)[:, None, :]
     table = params.embeddings.data[:n]
     d_ys = (d_pf.reshape(-1, n) @ table).reshape(c.ys.shape)
     params.embeddings.grad[:n] += d_pf.reshape(-1, n).T @ c.ys.reshape(-1, d)
@@ -401,14 +405,26 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
 # checkpoint format
 #
 # Single self-describing binary file: magic, uint64 header length, a JSON
-# header (shapes + hyperparameters + rng seed), then raw little-endian
-# float64 blobs in header order.  Writing the same model twice produces
-# byte-identical files; a read-back round-trips bit-exactly.
+# header (shapes + hyperparameters + rng seed + vocabulary digest), then raw
+# little-endian float64 blobs in header order.  Writing the same model twice
+# produces byte-identical files; a read-back round-trips bit-exactly.
+# Format 1 (magic CASDIS1) had no vocabulary digest and is no longer read.
 
-_CKPT_MAGIC = b"CASDIS1\n"
+_CKPT_MAGIC = b"CASDIS2\n"
+_CKPT_MAGIC_V1 = b"CASDIS1\n"
 
 
-def save_checkpoint(path, params: ModelParams, seed: int) -> None:
+def _vocabulary_digest(vocabulary) -> Optional[str]:
+    """SHA-256 of a ``Vocabulary``'s ids in index order, or None for None.
+    Ids hold no control characters, so newline-joining is unambiguous."""
+    if vocabulary is None:
+        return None
+    return hashlib.sha256("\n".join(vocabulary.ids).encode("utf-8")).hexdigest()
+
+
+def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> None:
+    """Write ``params`` and ``seed``, plus the digest of ``vocabulary`` (the
+    ``Vocabulary`` the node indices come from) when one is given."""
     tensors = [
         {"name": name, "shape": list(p.data.shape)}
         for name, p in params.named_parameters()
@@ -420,6 +436,7 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
             "factors": params.factors,
             "seed": int(seed),
             "tensors": tensors,
+            "vocabulary_sha256": _vocabulary_digest(vocabulary),
         },
         sort_keys=True,
     ).encode()
@@ -431,16 +448,20 @@ def save_checkpoint(path, params: ModelParams, seed: int) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, vocabulary=None):
     """Read a checkpoint back; returns (ModelParams, seed).
 
-    Anything but an intact checkpoint raises ValueError: a wrong magic,
-    truncation, a malformed header, tensors renamed or shaped other than
-    ``num_nodes``/``dim``/``factors`` imply, or trailing bytes.
+    Anything but an intact checkpoint raises ValueError: a wrong magic
+    (format 1 included), truncation, a malformed header, tensors renamed or
+    shaped other than ``num_nodes``/``dim``/``factors`` imply, or trailing
+    bytes.  So does a ``vocabulary`` whose digest differs from the stored
+    one; either side may be absent, and then nothing is compared.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     start = len(_CKPT_MAGIC) + 8
+    if blob.startswith(_CKPT_MAGIC_V1):
+        raise ValueError(f"{path}: checkpoint format 1 stores no vocabulary and is no longer read; retrain")
     if not blob.startswith(_CKPT_MAGIC):
         raise ValueError(f"{path}: not a casdis checkpoint")
     if len(blob) < start:
@@ -452,8 +473,14 @@ def load_checkpoint(path):
             int(header[key]) for key in ("num_nodes", "dim", "factors", "seed")
         )
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
+        digest = header["vocabulary_sha256"]
+        if digest is not None and not isinstance(digest, str):
+            raise TypeError(f"vocabulary_sha256 is {digest!r}")
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed checkpoint header: {err!r}") from None
+    given = _vocabulary_digest(vocabulary)
+    if digest is not None and given is not None and digest != given:
+        raise ValueError(f"{path}: the checkpoint was trained on a different node vocabulary")
     if num_nodes < 1 or dim < 2 or factors < 1:
         raise ValueError(f"{path}: bad sizes N={num_nodes}, D={dim}, K={factors}")
     expected = list(zip(_PARAM_NAMES, _param_shapes(num_nodes, dim, factors)))

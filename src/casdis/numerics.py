@@ -214,9 +214,23 @@ def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndar
 
 def max_over_axis(x: np.ndarray, axis: int):
     """Maximum along ``axis`` (removed) and the index of the first maximum
-    (kept as a size-1 axis, ready for ``np.put_along_axis``)."""
-    best = np.expand_dims(np.argmax(x, axis=axis), axis)
-    return np.take_along_axis(x, best, axis=axis).squeeze(axis), best
+    (kept as a size-1 axis).
+
+    A running elementwise maximum over the K slices along ``axis``: each
+    pass reads one whole slice instead of striding along the short axis.
+    The index has the smallest unsigned dtype that holds K - 1 (uint8 up to
+    K = 256).  Ties go to the lowest index, as with ``np.argmax``: a slice
+    takes the index only where it is strictly greater, and the index only
+    grows.  A NaN makes the maximum NaN, as with ``np.max``; the index is
+    then unspecified.
+    """
+    slices = np.moveaxis(x, axis, 0)
+    top = slices[0].copy()
+    best = np.zeros(top.shape, dtype=np.min_scalar_type(len(slices) - 1))
+    for k in range(1, len(slices)):
+        np.maximum(best, np.multiply(slices[k] > top, k, dtype=best.dtype), out=best)
+        np.maximum(top, slices[k], out=top)
+    return top, np.expand_dims(best, axis)
 
 
 def logsumexp(x: np.ndarray) -> np.ndarray:

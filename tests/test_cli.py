@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -12,13 +13,21 @@ from casdis.numerics import RngState
 NUM_NODES = 12
 
 
+def write_cascades(path, prefix):
+    """Write 20 cascades of distinct lengths over the 12 ids ``<prefix>0..11``
+    to ``path``; return the vocabulary parsing it gives."""
+    cascades = [[f"{prefix}{(i + j) % NUM_NODES}" for j in range(i + 2)] for i in range(20)]
+    path.write_text("\n".join(" ".join(c) for c in cascades) + "\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        return dt.parse_cascades(fh).vocabulary
+
+
 @pytest.fixture
 def workspace(tmp_path):
     """20 cascades of distinct lengths over 12 nodes, and a K=2, D=4
     checkpoint trained (nominally) with root seed 5."""
-    cascades = [[f"n{(i + j) % NUM_NODES}" for j in range(i + 2)] for i in range(20)]
     data = tmp_path / "cascades.txt"
-    data.write_text("\n".join(" ".join(c) for c in cascades) + "\n", encoding="utf-8")
+    write_cascades(data, "n")
     ckpt = tmp_path / "model.ckpt"
     md.save_checkpoint(ckpt, md.init_params(NUM_NODES, 4, 2, RngState(0)), seed=5)
     return tmp_path, data, ckpt
@@ -97,11 +106,21 @@ def _resize(header):
     header["num_nodes"] += 1
 
 
+def _no_vocabulary_key(header):
+    del header["vocabulary_sha256"]
+
+
+def _numeric_digest(header):
+    header["vocabulary_sha256"] = 7
+
+
 CORRUPTIONS = {
-    "bad_magic": lambda blob: b"CASDIS2\n" + blob[8:],
+    "bad_magic": lambda blob: b"NOTCKPT\n" + blob[8:],
     "renamed_tensor": lambda blob: _rewrite_header(blob, _rename),
     "reshaped_tensor": lambda blob: _rewrite_header(blob, _reshape),
     "header_sizes_disagree": lambda blob: _rewrite_header(blob, _resize),
+    "no_vocabulary_key": lambda blob: _rewrite_header(blob, _no_vocabulary_key),
+    "numeric_vocabulary_digest": lambda blob: _rewrite_header(blob, _numeric_digest),
     "trailing_bytes": lambda blob: blob + b"\0" * 8,
     "cut_inside_a_tensor": lambda blob: blob[:-4],
 }
@@ -118,6 +137,57 @@ def test_corrupt_checkpoint_is_rejected(workspace, name):
     assert len(_section_ends(blob)) == 16
     ckpt.write_bytes(CORRUPTIONS[name](blob))
     with pytest.raises(ValueError):
+        md.load_checkpoint(ckpt)
+    assert run_eval(workspace)[0] == cli.EXIT_MISMATCH
+
+
+def vocabulary_workspace(tmp_path, prefix):
+    """The workspace's cascades under the ids ``<prefix>0..11``, and a
+    checkpoint that stores the vocabulary of the ids ``n0..n11``."""
+    data = tmp_path / "cascades.txt"
+    write_cascades(data, prefix)
+    ckpt = tmp_path / "model.ckpt"
+    trained = write_cascades(tmp_path / "trained.txt", "n")
+    md.save_checkpoint(ckpt, md.init_params(NUM_NODES, 4, 2, RngState(0)), seed=5, vocabulary=trained)
+    return tmp_path, data, ckpt
+
+
+def test_eval_refuses_a_checkpoint_trained_on_other_ids(tmp_path):
+    workspace = vocabulary_workspace(tmp_path, "m")   # same N, none of the ids
+    assert run_eval(workspace)[0] == cli.EXIT_MISMATCH
+    other = write_cascades(tmp_path / "other.txt", "m")
+    with pytest.raises(ValueError, match="vocabulary"):
+        md.load_checkpoint(workspace[2], other)
+    md.load_checkpoint(workspace[2])                   # nothing to compare against
+
+
+def test_eval_accepts_the_vocabulary_the_checkpoint_was_trained_on(tmp_path):
+    assert run_eval(vocabulary_workspace(tmp_path, "n"))[0] == cli.EXIT_OK
+
+
+def test_train_stores_the_vocabulary_that_eval_checks(workspace):
+    tmp_path, data, _ = workspace
+    run = tmp_path / "run"
+    argv = ["train", "--k", "2", "--d", "4", "--epochs", "1", "--data", str(data), "--out", str(run)]
+    assert cli.main(argv) == cli.EXIT_OK
+    blob = (run / "model.ckpt").read_bytes()
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    with open(data, encoding="utf-8") as fh:
+        ids = dt.parse_cascades(fh).vocabulary.ids
+    expect = hashlib.sha256("\n".join(ids).encode("utf-8")).hexdigest()
+    assert json.loads(blob[16:16 + hlen])["vocabulary_sha256"] == expect
+    renamed = tmp_path / "renamed.txt"
+    write_cascades(renamed, "m")
+    argv = ["eval", "--data", str(renamed), "--checkpoint", str(run / "model.ckpt"), "--out", str(tmp_path / "e")]
+    assert cli.main(argv) == cli.EXIT_MISMATCH
+
+
+def test_checkpoint_of_the_first_format_is_refused(workspace):
+    _, _, ckpt = workspace
+    blob = ckpt.read_bytes()
+    old = _rewrite_header(blob, _no_vocabulary_key)
+    ckpt.write_bytes(b"CASDIS1\n" + old[8:])
+    with pytest.raises(ValueError, match="format 1"):
         md.load_checkpoint(ckpt)
     assert run_eval(workspace)[0] == cli.EXIT_MISMATCH
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -203,6 +204,43 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
         ).loss
 
     check_gradients(build, params.parameters(), seed=0.3)
+
+
+def _gradients(params, cache, d_scores):
+    params.reset_gradients()
+    md._backward_positions(params, cache, d_scores)
+    return [p.grad.copy() for p in params.parameters()]
+
+
+@pytest.mark.parametrize("factors", [2, 3])
+def test_backward_routes_exact_ties_to_the_first_factor(factors):
+    # prototype 1 equal to prototype 0 makes factors 0 and 1 score every
+    # candidate exactly alike, so finite differences cannot pin the routing
+    params = small_params(num_nodes=9, dim=4, factors=factors, seed=40 + factors)
+    params.prototypes.data[1] = params.prototypes.data[0]
+    positions = np.array([3, 0, 7, 3, 5, 1])
+    scores, cache = md._forward_positions(params, positions, None, False, 0.0, None)
+    d_scores = np.random.default_rng(41).normal(size=scores.shape)
+
+    # reference: the first argmax of the (t, K, N) scores gets the gradient
+    table = params.embeddings.data[:params.num_nodes]
+    per_factor = (cache.ys.reshape(-1, params.dim) @ table.T).reshape(cache.ys.shape[:2] + (-1,))
+    per_factor *= 1.0 / math.sqrt(params.dim)
+    assert (per_factor[:, 0] == per_factor[:, 1]).all()
+    first = np.expand_dims(np.argmax(per_factor, axis=1), 1)
+    assert (first == 0).any() and (first != 1).all()
+    d_pf = np.zeros(per_factor.shape)
+    np.put_along_axis(d_pf, first, d_scores[:, None, :], axis=1)
+    # each factor's share of that routing, pushed through the backward on its own
+    expect = [np.zeros_like(p.data) for p in params.parameters()]
+    for k in range(factors):
+        only_k = SimpleNamespace(**vars(cache))
+        only_k.best = np.full_like(cache.best, k)
+        for total, grad in zip(expect, _gradients(params, only_k, d_pf[:, k])):
+            total += grad
+
+    for p, got, want in zip(params.parameters(), _gradients(params, cache, d_scores), expect):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), p.name
 
 
 # ---------------------------------------------------------------------------

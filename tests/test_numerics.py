@@ -189,6 +189,60 @@ def test_weighted_mix_matches_einsum_definition():
 
 
 # ---------------------------------------------------------------------------
+# max over an axis: np.max and the first np.argmax, the index as a size-1 axis
+
+
+def check_max_over_axis(x, axis, check_index=True):
+    top, best = nm.max_over_axis(x, axis)
+    expect = np.max(x, axis=axis)
+    assert top.shape == expect.shape and best.shape == np.expand_dims(expect, axis).shape
+    assert np.array_equal(top, expect, equal_nan=True)
+    if check_index:
+        assert np.array_equal(best.squeeze(axis), np.argmax(x, axis=axis))
+    return best
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_max_over_axis_matches_max_and_argmax(axis):
+    x = np.random.default_rng(11).normal(size=(5, 4, 7))
+    best = check_max_over_axis(x, axis)
+    assert best.dtype == np.uint8
+
+
+def test_max_over_axis_single_slice_has_index_zero():
+    x = np.random.default_rng(12).normal(size=(3, 1, 6))
+    best = check_max_over_axis(x, 1)
+    assert not best.any()
+
+
+def test_max_over_axis_ties_go_to_the_first_index():
+    rng = np.random.default_rng(13)
+    x = rng.integers(-2, 3, size=(6, 5, 40)).astype(np.float64)  # many exact ties
+    x[:, 3] = x[:, 1]                                             # identical slices
+    check_max_over_axis(x, 1)
+    same = np.repeat(rng.normal(size=(6, 1, 40)), 4, axis=1)      # every slice equal
+    assert not check_max_over_axis(same, 1).any()
+
+
+def test_max_over_axis_index_holds_more_than_256_slices():
+    x = np.random.default_rng(14).normal(size=(2, 300, 9))
+    x[0, 299] = 10.0    # the last slice wins: index 299 needs more than 8 bits
+    best = check_max_over_axis(x, 1)
+    assert best.dtype == np.uint16
+    assert (best[0] == 299).all()
+
+
+def test_max_over_axis_propagates_nan_like_max():
+    x = np.random.default_rng(15).normal(size=(4, 3, 5))
+    x[0, 0, 1] = np.nan   # in the first slice
+    x[2, 2, 3] = np.nan   # in a later slice
+    check_max_over_axis(x, 1, check_index=False)
+    top, _ = nm.max_over_axis(x, 1)
+    assert np.isnan(top[0, 1]) and np.isnan(top[2, 3])
+    assert np.isfinite(np.delete(top.ravel(), [1, 13])).all()
+
+
+# ---------------------------------------------------------------------------
 # gumbel softmax, as the model draws it: softmax((logits + g) / tau)
 
 
