@@ -134,9 +134,6 @@ class Batch:
     lengths: np.ndarray   # (B,) true lengths
     pad_mask: np.ndarray  # (B, L) bool, True = pad
 
-    def cascade(self, row: int) -> np.ndarray:
-        return self.indices[row, : self.lengths[row]]
-
 
 def make_batches(
     cascades: Sequence[Sequence[int]],

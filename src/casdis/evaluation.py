@@ -56,15 +56,17 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 
 
 def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
-    """Target ranks for every prefix of every cascade, evaluation mode."""
+    """Target ranks for every prefix of every cascade, evaluation mode,
+    under the tie-break of ``rank_of_target``, a whole score block at once."""
     all_ranks: List[int] = []
     for cascade in cascades:
         if len(cascade) < 2:
             continue
         idx = np.asarray(cascade, dtype=np.intp)
-        scores = prefix_scores(params, idx[:-1])
-        for t in range(len(idx) - 1):
-            all_ranks.append(rank_of_target(scores[t], idx[t + 1]))
+        scores, targets = prefix_scores(params, idx[:-1]), idx[1:]
+        own = scores[np.arange(len(targets)), targets][:, None]
+        before = np.arange(scores.shape[1]) < targets[:, None]
+        all_ranks.extend((1 + (scores > own).sum(1) + ((scores == own) & before).sum(1)).tolist())
     return all_ranks
 
 

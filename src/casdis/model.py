@@ -8,13 +8,16 @@ layer-normalized sums give K candidate states per step, and candidates are
 scored against the shared node-embedding table with a max-over-factors
 softmax loss.
 
-``_forward_positions`` is the single definition of the model: training,
-validation, evaluation and prediction all run it, over every prefix of a
-cascade at once, on plain float64 arrays and the array kernels of
-``casdis.numerics``, stage by stage.  ``_backward_positions`` beside it
-is the model's derivative written out in closed form, stage by stage in
-reverse.  The test suite pins the forward to a straight-line numpy oracle and
-the backward to finite differences.
+``_forward_block`` is the single definition of the model: it runs every
+prefix of a padded block of B cascades at once, on plain float64 arrays and
+the array kernels of ``casdis.numerics``, stage by stage.  Training and
+validation (``batch_loss``) run it over whole batches; ``forward_cascade``,
+``prefix_scores`` and ``predict_topn`` are its B=1 case.  Scoring and the
+loss run one cascade at a time.  ``_backward_block`` and
+``_score_rows_backward`` are the model's derivative in closed form, stage by
+stage in reverse.  The test suite pins the forward to a straight-line numpy
+oracle, the backward to finite differences, and a batch to its cascades run
+one by one.
 """
 
 from __future__ import annotations
@@ -161,70 +164,71 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
 
 # ---------------------------------------------------------------------------
-# whole-cascade forward and backward
+# the batch pipeline
+
+# Rows of a batch run in consecutive chunks of at most this many elements of
+# rows x L x (L + K*D), and at least one row, to bound the live intermediates.
+_CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass
 class CascadeForward:
     """Result of one cascade pass.
 
-    ``loss`` is the sum of the step losses.  ``loss.backward(g)`` runs
-    ``_backward_positions`` and adds g times the loss gradient into every
-    ``Parameter.grad``; repeated calls keep adding.
+    ``loss`` is the sum of the step losses.  ``loss.backward(g)`` adds g
+    times the loss gradient into every ``Parameter.grad``; repeated calls
+    keep adding.
     """
 
     loss: Tensor                 # scalar
     step_losses: np.ndarray      # (t,)
 
 
-def _forward_positions(
-    params: ModelParams,
-    positions: np.ndarray,
-    gumbel: Optional[GumbelConfig],
-    training: bool,
-    dropout_rate: float,
-    dropout_rng: Optional[RngState],
-    rows=slice(None),
-):
-    """Candidate scores for all prefixes of ``positions`` in one pass.
+def _forward_block(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
+                   gumbel: Optional[GumbelConfig], training: bool, dropout_rate: float,
+                   dropout_rng: Optional[RngState], rows=slice(None)):
+    """Candidate states for every prefix of B cascades in one pass.
 
-    Returns the (t, N) scores, row t belonging to the prefix of length t+1,
-    and the intermediates ``_backward_positions`` needs.  Factor weights are
-    computed once per position (they do not depend on the prefix length), and
-    attention rows are masked to i <= t.
+    Row b of the (B, L) ``positions`` holds a cascade in its first
+    ``lengths[b]`` entries, then padding, so a padded step never feeds a real
+    one.  Returns the intermediates, ``ys`` (B, L, K, D) among them: ``ys[b,
+    t]`` belongs to the prefix of length t+1.  Dropout masks and Gumbel noise
+    are drawn one cascade at a time, in row order.  Factor weights are
+    computed once per position, and attention sees the real keys i <= t.
 
-    ``rows`` (a slice or index array over the t positions) limits attention,
-    the mix, layer norm and scoring to those prefixes: the GRU and the factor
-    weights still run over every position, and the scores have one row per
-    selected prefix.  Only the default, every row, can be differentiated.
+    ``rows`` (a slice or index array over the L positions) limits attention,
+    the mix and layer norm to those prefixes; the GRU and the factor weights
+    still run over every position.  Only the default, every row, can be
+    differentiated.
     """
-    t_total = len(positions)
-    d = params.dim
+    (b, width), d = positions.shape, params.dim
     scale = 1.0 / math.sqrt(d)
+    real = np.arange(width) < lengths[:, None]
 
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
     if training and dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("dropout requested but no rng given")
-        keep = (dropout_rng.uniform((t_total, d)) >= dropout_rate) / (1.0 - dropout_rate)
+        keep = np.zeros((b, width, d))
+        for i, t in enumerate(lengths):
+            keep[i, :t] = (dropout_rng.uniform((t, d)) >= dropout_rate) / (1.0 - dropout_rate)
         xe = xe * keep
 
-    # input transforms for every step at once; the recurrence stays sequential
-    a_z = xe @ params.w_z.data + params.b_z.data
-    a_r = xe @ params.w_r.data + params.b_r.data
-    a_h = xe @ params.w_h.data + params.b_h.data
+    # input transforms for every step at once, each overwritten by its gate
+    # as the recurrence walks the L steps with a (B, D) state
+    z = xe @ params.w_z.data + params.b_z.data
+    r = xe @ params.w_r.data + params.b_r.data
+    cand = xe @ params.w_h.data + params.b_h.data
+    hidden, h = np.empty((b, width, d)), np.zeros((b, d))
+    for t in range(width):
+        z[:, t] = sigmoid(z[:, t] + h @ params.u_z.data)
+        r[:, t] = sigmoid(r[:, t] + h @ params.u_r.data)
+        cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ params.u_h.data)
+        h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
 
-    hidden, z, r, cand = (np.empty((t_total, d)) for _ in range(4))
-    h = np.zeros(d)
-    for t in range(t_total):
-        z[t] = sigmoid(a_z[t] + h @ params.u_z.data)
-        r[t] = sigmoid(a_r[t] + h @ params.u_r.data)
-        cand[t] = np.tanh(a_h[t] + (r[t] * h) @ params.u_h.data)
-        h = hidden[t] = (1.0 - z[t]) * h + z[t] * cand[t]
-
-    causal = np.tri(t_total, dtype=bool)[rows]
-    attn = softmax_rows(scale * dot_rows(hidden[rows], hidden), causal)
+    mask = np.tri(width, dtype=bool)[rows] & real[:, None, :]
+    attn = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
 
     unit_h, norm_h = unit_rows(hidden)
     unit_p, norm_p = unit_rows(params.prototypes.data)
@@ -233,95 +237,123 @@ def _forward_positions(
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
         # the noise is drawn here and held fixed in the backward
-        factors = softmax_rows(1.0 / gumbel.tau * (cos * scale + gumbel.rng.gumbel(cos.shape)))
+        noise = np.zeros(cos.shape)
+        for i, t in enumerate(lengths):
+            noise[i, :t] = gumbel.rng.gumbel((t, params.factors))
+        factors = softmax_rows(1.0 / gumbel.tau * (cos * scale + noise))
         factor_scale = scale / gumbel.tau
     else:
         factors = softmax_rows(scale * cos)
         factor_scale = scale
 
-    mixed = weighted_mix(attn, factors, hidden)
-    ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
-
-    # one GEMM, written out rather than through dot_rows: the benchmark's
-    # tracer sizes a scoring-stage dot_rows call from its arguments' .data,
-    # which plain arrays lack.  The product is a fresh array, so it is scaled
-    # in place; each candidate then scores by its best factor, and ``best``
-    # keeps the first factor that reaches that score for the backward.
-    table = params.embeddings.data[:params.num_nodes]
-    per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
-    per_factor *= scale
-    scores, best = max_over_axis(per_factor, 1)   # (t, N), (t, 1, N) factor index
-    cache = SimpleNamespace(
-        positions=positions, keep=keep, xe=xe, hidden=hidden, z=z, r=r, cand=cand,
-        attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
-        factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys, best=best,
+    ys, xhat, inv = layer_norm_rows(weighted_mix(attn, factors, hidden), params.ln_gain.data, params.ln_bias.data)
+    return SimpleNamespace(
+        positions=positions, real=real, keep=keep, xe=xe, hidden=hidden,
+        z=z, r=r, cand=cand, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
+        factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys,
     )
-    return scores, cache
 
 
-def _backward_positions(params: ModelParams, c: SimpleNamespace, d_scores: np.ndarray) -> None:
-    """Add the gradient of sum(d_scores * scores) into every ``Parameter.grad``,
-    for the scores and intermediates ``c`` of one ``_forward_positions`` call.
-    The Gumbel noise and the dropout mask are held fixed."""
-    t_total, d = c.hidden.shape
-    n = params.num_nodes
+def _backward_block(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> None:
+    """Add the gradient of sum(d_ys * ys) into every ``Parameter.grad``, for
+    one ``_forward_block`` call ``c``, the Gumbel noise and dropout held fixed.
+    A padded step whose d_ys is zero gets exactly zero gradient, so only the
+    scatter into the embedding table skips padding."""
+    b, width, d = c.hidden.shape
     scale = 1.0 / math.sqrt(d)
 
-    # scoring: the max over K routes each score's gradient to the first
-    # factor that reached the maximum, zero to every other factor
-    d_pf = (c.best == np.arange(params.factors, dtype=c.best.dtype)[:, None]) * (d_scores * scale)[:, None, :]
-    table = params.embeddings.data[:n]
-    d_ys = (d_pf.reshape(-1, n) @ table).reshape(c.ys.shape)
-    params.embeddings.grad[:n] += d_pf.reshape(-1, n).T @ c.ys.reshape(-1, d)
-
-    # layer norm, then the weighted mix out = attn @ fh, with the (t, K*D)
-    # block fh[i, k] = factors[i, k] hidden[i]
-    params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1))
-    params.ln_bias.grad += d_ys.sum(axis=(0, 1))
-    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys).reshape(t_total, -1)
-    fh = (c.factors[:, :, None] * c.hidden[:, None, :]).reshape(t_total, -1)
-    d_attn = d_mixed @ fh.T
-    d_fh = (c.attn.T @ d_mixed).reshape(c.ys.shape)
-    d_factors = np.einsum("ikd,id->ik", d_fh, c.hidden)
-    d_hidden = np.einsum("ikd,ik->id", d_fh, c.factors)
+    # layer norm, then the weighted mix out = attn @ fh, with the (L, K*D)
+    # block fh[i, k] = factors[i, k] hidden[i] of each cascade
+    params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1, 2))
+    params.ln_bias.grad += d_ys.sum(axis=(0, 1, 2))
+    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys).reshape(b, width, -1)
+    fh = (c.factors[..., None] * c.hidden[:, :, None, :]).reshape(b, width, -1)
+    d_attn = d_mixed @ fh.transpose(0, 2, 1)
+    d_fh = (c.attn.transpose(0, 2, 1) @ d_mixed).reshape(d_ys.shape)
+    del d_mixed, fh  # each stage frees its (B, L, K*D) intermediates when done
+    d_factors = np.einsum("bikd,bid->bik", d_fh, c.hidden)
+    d_hidden = np.einsum("bikd,bik->bid", d_fh, c.factors)
+    del d_fh
 
     # factor softmax over scaled cosines, then the cosine through the norm clamp
     d_cos = c.factor_scale * softmax_rows_backward(c.factors, d_factors)
     d_hidden += unit_rows_backward(c.unit_h, c.norm_h, d_cos @ c.unit_p)
-    params.prototypes.grad += unit_rows_backward(c.unit_p, c.norm_p, d_cos.T @ c.unit_h)
+    params.prototypes.grad += unit_rows_backward(
+        c.unit_p, c.norm_p, d_cos.reshape(-1, params.factors).T @ c.unit_h.reshape(-1, d))
 
     # causal attention over hidden @ hidden.T; masked entries have p = 0
     d_logits = scale * softmax_rows_backward(c.attn, d_attn)
-    d_hidden += d_logits @ c.hidden + d_logits.T @ c.hidden
+    d_hidden += d_logits @ c.hidden + d_logits.transpose(0, 2, 1) @ c.hidden
 
+    del d_attn, d_logits
     # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
     u_z, u_r, u_h = params.u_z.data, params.u_r.data, params.u_h.data
-    h_prev = np.vstack([np.zeros((1, d)), c.hidden[:-1]])
-    d_az, d_ar, d_ah = (np.empty((t_total, d)) for _ in range(3))
-    carry = np.zeros(d)
-    for t in range(t_total - 1, -1, -1):
-        z, r, cand = c.z[t], c.r[t], c.cand[t]
-        dh = d_hidden[t] + carry
-        d_ah[t] = dh * z * (1.0 - cand * cand)
-        d_rh = u_h @ d_ah[t]
-        d_ar[t] = d_rh * h_prev[t] * r * (1.0 - r)
-        d_az[t] = dh * (cand - h_prev[t]) * z * (1.0 - z)
-        carry = dh * (1.0 - z) + d_rh * r + u_r @ d_ar[t] + u_z @ d_az[t]
+    h_prev = np.concatenate([np.zeros((b, 1, d)), c.hidden[:, :-1]], axis=1)
+    d_az, d_ar, d_ah = (np.empty((b, width, d)) for _ in range(3))
+    carry = np.zeros((b, d))
+    for t in range(width - 1, -1, -1):
+        z, r, cand = c.z[:, t], c.r[:, t], c.cand[:, t]
+        dh = d_hidden[:, t] + carry
+        d_ah[:, t] = dh * z * (1.0 - cand * cand)
+        d_rh = d_ah[:, t] @ u_h.T
+        d_ar[:, t] = d_rh * h_prev[:, t] * r * (1.0 - r)
+        d_az[:, t] = dh * (cand - h_prev[:, t]) * z * (1.0 - z)
+        carry = dh * (1.0 - z) + d_rh * r + d_ar[:, t] @ u_r.T + d_az[:, t] @ u_z.T
 
     d_xe = 0.0
-    for w, u, b, d_a, inputs in (
+    for w, u, bias, d_a, inputs in (
         (params.w_z, params.u_z, params.b_z, d_az, h_prev),
         (params.w_r, params.u_r, params.b_r, d_ar, h_prev),
         (params.w_h, params.u_h, params.b_h, d_ah, c.r * h_prev),
     ):
-        u.grad += inputs.T @ d_a
-        w.grad += c.xe.T @ d_a
-        b.grad += d_a.sum(axis=0)
+        d_a = d_a.reshape(-1, d)
+        u.grad += inputs.reshape(-1, d).T @ d_a
+        w.grad += c.xe.reshape(-1, d).T @ d_a
+        bias.grad += d_a.sum(axis=0)
         d_xe = d_xe + d_a @ w.data.T
+    d_xe = d_xe.reshape(b, width, d)
     if c.keep is not None:
         d_xe = d_xe * c.keep
-    # rows repeat when a node recurs in the cascade: add.at accumulates them
-    np.add.at(params.embeddings.grad, c.positions, d_xe)
+    # rows repeat when a node recurs in a cascade: add.at accumulates them
+    np.add.at(params.embeddings.grad, c.positions[c.real], d_xe[c.real])
+
+
+def _score_rows(params: ModelParams, ys: np.ndarray):
+    """Scores (t, N) of one cascade's candidate states ``ys`` (t, K, D), each
+    candidate by its best factor, and the (t, 1, N) index of that factor."""
+    d = params.dim
+    table = params.embeddings.data[:params.num_nodes]
+    # one GEMM, not dot_rows: the benchmark's tracer sizes a scoring-stage
+    # dot_rows call from its arguments' .data.  The fresh product is scaled in place.
+    per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
+    per_factor *= 1.0 / math.sqrt(d)
+    return max_over_axis(per_factor, 1)
+
+
+def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, d_scores: np.ndarray):
+    """Gradient w.r.t. ``ys`` of sum(d_scores * scores) for one ``_score_rows``
+    call; the embedding table's share goes into its grad.  The max over K
+    routes each score's gradient to factor ``best``, zero to the others."""
+    n, d = params.num_nodes, params.dim
+    routed = best == np.arange(params.factors, dtype=best.dtype)[:, None]
+    d_pf = routed * (d_scores * (1.0 / math.sqrt(d)))[:, None, :]
+    params.embeddings.grad[:n] += (ys.reshape(-1, d).T @ d_pf.reshape(-1, n)).T
+    return (d_pf.reshape(-1, n) @ params.embeddings.data[:n]).reshape(ys.shape)
+
+
+def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray):
+    """Step losses of one cascade from its candidate states ``ys`` and
+    targets, and the function of a weight g that gives g d(sum)/d(ys)."""
+    scores, best = _score_rows(params, ys)
+    steps = np.arange(len(targets))
+    lse = logsumexp(scores)
+
+    def backward(g):
+        d_scores = np.exp(scores - lse) * g
+        d_scores[steps, targets] -= g
+        return _score_rows_backward(params, ys, best, d_scores)
+
+    return lse[:, 0] - scores[steps, targets], backward
 
 
 def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
@@ -329,6 +361,39 @@ def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
         raise ValueError(
             f"cascade contains node index outside [0, {params.num_nodes})"
         )
+
+
+def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
+               training: bool = False, dropout_rate: float = 0.0,
+               dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
+    """Step losses of every cascade of a padded ``Batch``, one array per row
+    (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
+    their sum into every ``Parameter.grad``; ``None`` computes no gradient.
+
+    Rows run in consecutive chunks under ``_CHUNK_ELEMENTS``.  Scoring, loss
+    and scoring backward go one row at a time: one (t, K, N) block is live.
+    """
+    indices, points = np.asarray(batch.indices), np.asarray(batch.lengths) - 1
+    _check_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
+    out = [np.empty(0)] * len(points)
+    live = np.flatnonzero(points >= 1)
+    width = int(points.max(initial=0))
+    per_chunk = max(1, _CHUNK_ELEMENTS // max(1, width * (width + params.factors * params.dim)))
+    for start in range(0, len(live), per_chunk):
+        chosen = live[start:start + per_chunk]
+        lengths = points[chosen]
+        span = int(lengths.max())
+        positions = np.where(np.arange(span) < lengths[:, None], indices[chosen, :span], params.pad_index)
+        c = _forward_block(params, positions, lengths, gumbel, training, dropout_rate, dropout_rng)
+        d_ys = None if weight is None else np.zeros(c.ys.shape)
+        for j, (row, t) in enumerate(zip(chosen, lengths)):
+            out[row], score_backward = _row_loss(params, c.ys[j, :t], indices[row, 1:t + 1])
+            if weight is not None:
+                d_ys[j, :t] = score_backward(weight)
+        if weight is not None:
+            _backward_block(params, c, d_ys)
+        del c, d_ys, score_backward  # the next chunk runs without this one's intermediates
+    return out
 
 
 def forward_cascade(
@@ -339,7 +404,8 @@ def forward_cascade(
     dropout_rate: float = 0.0,
     dropout_rng: Optional[RngState] = None,
 ) -> CascadeForward:
-    """Loss over every prediction point of one cascade.
+    """Loss over every prediction point of one cascade: the B=1 case of the
+    batch pipeline, with the backward deferred to ``loss.backward``.
 
     For each prefix length t = 1..len-1 the model is asked for node t+1; the
     returned loss is the sum of the per-step losses.  Raises
@@ -352,19 +418,11 @@ def forward_cascade(
         raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
     _check_indices(params, idx)
 
-    scores, cache = _forward_positions(
-        params, idx[:-1], gumbel, training, dropout_rate, dropout_rng
-    )
-    rows, targets = np.arange(len(scores)), idx[1:]
-    lse = logsumexp(scores)
-    steps = lse[:, 0] - scores[rows, targets]
-
-    def backward(g):
-        d_scores = np.exp(scores - lse) * g
-        d_scores[rows, targets] -= g
-        _backward_positions(params, cache, d_scores)
-
-    return CascadeForward(loss=Tensor(steps.sum(), backward), step_losses=steps)
+    c = _forward_block(params, idx[None, :-1], np.array([len(idx) - 1]), gumbel, training,
+                       dropout_rate, dropout_rng)
+    steps, score_backward = _row_loss(params, c.ys[0], idx[1:])
+    loss = Tensor(steps.sum(), lambda g: _backward_block(params, c, score_backward(g)[None]))
+    return CascadeForward(loss=loss, step_losses=steps)
 
 
 def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -> np.ndarray:
@@ -373,8 +431,8 @@ def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
-    scores, _ = _forward_positions(params, idx, None, False, 0.0, None, rows)
-    return scores
+    c = _forward_block(params, idx[None], np.array([len(idx)]), None, False, 0.0, None, rows)
+    return _score_rows(params, c.ys[0])[0]
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:

@@ -120,12 +120,10 @@ def gather_rows(table: np.ndarray, idx) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
+    exp overflows; both branches share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_rows(logits, mask=None) -> np.ndarray:
@@ -158,9 +156,10 @@ def softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def dot_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Dot product of every last-axis vector of ``x`` with every row of the
-    2-D ``rows``: shape ``x.shape[:-1] + (len(rows),)``.  One matrix
-    product, so it runs as a BLAS GEMM."""
-    return x @ rows.T
+    2-D ``rows``: shape ``x.shape[:-1] + (len(rows),)``.  A stack of row
+    blocks pairs with a stack of ``x``, block by block.  One matrix product
+    per block, so it runs as a BLAS GEMM."""
+    return x @ np.swapaxes(rows, -1, -2)
 
 
 def unit_rows(x: np.ndarray):
@@ -182,14 +181,15 @@ def unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.nd
 
 def weighted_mix(attn: np.ndarray, factors: np.ndarray, hidden: np.ndarray) -> np.ndarray:
     """out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i] for every row t
-    of the (rows, T) ``attn``, shape (rows, K, D).
+    of the (rows, T) ``attn``, shape (rows, K, D); leading axes, if any,
+    stack independent blocks.
 
     Runs as one GEMM of ``attn`` against the (T, K*D) block
     ``factors[i, k] * hidden[i]``.
     """
-    total, k = factors.shape
-    block = (factors[:, :, None] * hidden[:, None, :]).reshape(total, -1)
-    return (attn @ block).reshape(len(attn), k, -1)
+    k = factors.shape[-1]
+    block = (factors[..., None] * hidden[..., None, :]).reshape(factors.shape[:-1] + (-1,))
+    return (attn @ block).reshape(attn.shape[:-1] + (k, -1))
 
 
 def layer_norm_rows(x: np.ndarray, gain, bias, epsilon: float = 1e-8):

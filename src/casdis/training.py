@@ -1,8 +1,9 @@
 """Mini-batch Adam training with plateau learning-rate decay and early stop.
 
-The per-cascade loss is the sum of its step losses; the batch objective is
-the mean over all steps in the batch, realized by seeding each cascade's
-backward pass with 1/steps so gradients accumulate to the batch mean.
+The batch objective is the mean step loss over every prediction step of the
+batch: one ``batch_loss`` call per batch adds 1/steps times the gradient of
+the summed step losses.  Validation runs the same pipeline without a
+gradient.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import DatasetSplit, make_batches
-from .model import (
-    DegenerateCascadeError,
-    GumbelConfig,
-    ModelParams,
-    forward_cascade,
-    init_params,
-)
+from .model import GumbelConfig, ModelParams, batch_loss, init_params
 from .numerics import RngState
 
 log = logging.getLogger(__name__)
@@ -141,15 +136,13 @@ def mean_step_loss(
     cascades,
     max_len: int = 200,
 ) -> float:
-    """Evaluation-mode loss per prediction step (no noise, no dropout)."""
-    total, steps = 0.0, 0
-    for cascade in cascades:
-        c = cascade[:max_len]
-        if len(c) < 2:
-            continue
-        out = forward_cascade(params, c, training=False)
-        total += float(out.step_losses.sum())
-        steps += len(out.step_losses)
+    """Evaluation-mode loss per prediction step (no noise, no dropout) of
+    every cascade cut to its first ``max_len`` nodes, as one batch."""
+    cascades, total, steps = list(cascades), 0.0, 0
+    for batch in make_batches(cascades, max(len(cascades), 1), max_len, params.pad_index):
+        for losses in batch_loss(params, batch, None):
+            total += float(losses.sum())
+            steps += len(losses)
     if steps == 0:
         raise ValueError("no prediction points in cascade set")
     return total / steps
@@ -195,22 +188,11 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
             batch_steps = int(sum(max(l - 1, 0) for l in batch.lengths))
             if batch_steps == 0:
                 continue
-            for row in range(len(batch.lengths)):
-                cascade = batch.cascade(row)
-                try:
-                    out = forward_cascade(
-                        params,
-                        cascade,
-                        gumbel=gumbel,
-                        training=True,
-                        dropout_rate=config.dropout_rate,
-                        dropout_rng=dropout_rng,
-                    )
-                except DegenerateCascadeError:
-                    continue
-                out.loss.backward(1.0 / batch_steps)
-                loss_sum += float(out.step_losses.sum())
-                step_count += len(out.step_losses)
+            for losses in batch_loss(
+                params, batch, 1.0 / batch_steps, gumbel, True, config.dropout_rate, dropout_rng
+            ):
+                loss_sum += float(losses.sum())
+                step_count += len(losses)
             clip_gradients(params, config.clip_norm)
             try:
                 adam_step(opt, params, opt.lr)

@@ -114,7 +114,7 @@ def test_batches_padding():
     assert batch.indices.shape == (2, 5)
     assert batch.pad_mask[0].tolist() == [False, False, False, True, True]
     assert (batch.indices[0, 3:] == 9).all()
-    assert batch.cascade(0).tolist() == [1, 2, 3]
+    assert batch.indices[0, :batch.lengths[0]].tolist() == [1, 2, 3]
 
 
 def test_batches_ceiling_division():
@@ -124,7 +124,7 @@ def test_batches_ceiling_division():
 
 def test_batches_truncate_to_max_len():
     (batch,) = dt.make_batches([list(range(10))], batch_size=1, max_len=4, pad_index=10)
-    assert batch.cascade(0).tolist() == [0, 1, 2, 3]
+    assert batch.indices[0, :batch.lengths[0]].tolist() == [0, 1, 2, 3]
 
 
 def test_batch_indices_in_range_or_pad():

@@ -115,6 +115,26 @@ def test_evaluate_matches_brute_force(two_community_small):
         assert report.maps[n] == maps[n]
 
 
+def test_block_ranks_equal_rank_of_target_across_exact_ties():
+    # zero LN gain and dyadic embeddings make many scores tie exactly, the
+    # target's own score among them
+    rng = np.random.default_rng(28)
+    params = md.init_params(30, 4, 3, RngState(28))
+    params.ln_gain.data[:] = 0.0
+    params.ln_bias.data[:] = rng.integers(-4, 5, 4) / 4
+    params.embeddings.data[:] = rng.integers(-1, 2, (31, 4)) / 4
+    cascades = [rng.integers(0, 30, size=int(rng.integers(2, 12))).tolist() for _ in range(12)] + [[5]]
+    expect, tied = [], 0
+    for cascade in cascades:
+        scores = md.prefix_scores(params, cascade[:-1]) if len(cascade) > 1 else []
+        for t, row in enumerate(scores):
+            target = cascade[t + 1]
+            expect.append(ev.rank_of_target(row, target))
+            tied += int((row[:target] == row[target]).any())
+    assert tied >= 10
+    assert ev.collect_ranks(params, cascades) == expect
+
+
 def test_evaluate_monotonicity_invariants():
     rng = np.random.default_rng(4)
     for seed in range(3):

@@ -1,10 +1,10 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from casdis import model as md
+from casdis.data import make_batches
 from casdis.numerics import RngState, finite_difference_gradient
 
 from test_numerics import max_rel_err
@@ -206,9 +206,15 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
     check_gradients(build, params.parameters(), seed=0.3)
 
 
-def _gradients(params, cache, d_scores):
+def _eval_block(params, prefix, rows=slice(None)):
+    prefix = np.asarray(prefix)
+    return md._forward_block(params, prefix[None], np.array([len(prefix)]), None, False, 0.0, None, rows)
+
+
+def _gradients(params, cache, best, d_scores):
     params.reset_gradients()
-    md._backward_positions(params, cache, d_scores)
+    d_ys = md._score_rows_backward(params, cache.ys[0], best, d_scores)
+    md._backward_block(params, cache, d_ys[None])
     return [p.grad.copy() for p in params.parameters()]
 
 
@@ -218,13 +224,14 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     # candidate exactly alike, so finite differences cannot pin the routing
     params = small_params(num_nodes=9, dim=4, factors=factors, seed=40 + factors)
     params.prototypes.data[1] = params.prototypes.data[0]
-    positions = np.array([3, 0, 7, 3, 5, 1])
-    scores, cache = md._forward_positions(params, positions, None, False, 0.0, None)
+    cache = _eval_block(params, [3, 0, 7, 3, 5, 1])
+    scores, best = md._score_rows(params, cache.ys[0])
     d_scores = np.random.default_rng(41).normal(size=scores.shape)
 
     # reference: the first argmax of the (t, K, N) scores gets the gradient
+    ys = cache.ys[0]
     table = params.embeddings.data[:params.num_nodes]
-    per_factor = (cache.ys.reshape(-1, params.dim) @ table.T).reshape(cache.ys.shape[:2] + (-1,))
+    per_factor = (ys.reshape(-1, params.dim) @ table.T).reshape(ys.shape[:2] + (-1,))
     per_factor *= 1.0 / math.sqrt(params.dim)
     assert (per_factor[:, 0] == per_factor[:, 1]).all()
     first = np.expand_dims(np.argmax(per_factor, axis=1), 1)
@@ -234,12 +241,10 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     # each factor's share of that routing, pushed through the backward on its own
     expect = [np.zeros_like(p.data) for p in params.parameters()]
     for k in range(factors):
-        only_k = SimpleNamespace(**vars(cache))
-        only_k.best = np.full_like(cache.best, k)
-        for total, grad in zip(expect, _gradients(params, only_k, d_pf[:, k])):
+        for total, grad in zip(expect, _gradients(params, cache, np.full_like(best, k), d_pf[:, k])):
             total += grad
 
-    for p, got, want in zip(params.parameters(), _gradients(params, cache, d_scores), expect):
+    for p, got, want in zip(params.parameters(), _gradients(params, cache, best, d_scores), expect):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), p.name
 
 
@@ -323,6 +328,97 @@ def test_forward_training_dropout_draws_are_seeded():
 
 
 # ---------------------------------------------------------------------------
+# the batch pipeline against the per-cascade path
+
+
+BATCH_CASCADES = [[2, 5, 2, 0, 2, 3, 1], [4, 1], [3], [0, 3, 5, 1, 4], [5, 4, 4, 0, 2, 1, 3, 0], [1, 0, 1]]
+
+
+def _batch_params(factors=2):
+    params = small_params(num_nodes=6, dim=4, factors=factors, seed=50 + factors)
+    params.ln_gain.data[:] = [0.7, 1.3, 0.9, 1.1]
+    params.ln_bias.data[:] = [0.2, -0.1, 0.0, 0.3]
+    return params
+
+
+def _run_batch(params, cascades, weight):
+    """``batch_loss`` over ``cascades`` as one batch, Gumbel noise and dropout on."""
+    (batch,) = make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    gumbel = md.GumbelConfig(tau=0.8, rng=RngState(6))
+    return md.batch_loss(params, batch, weight, gumbel, True, 0.3, RngState(7))
+
+
+@pytest.mark.parametrize("factors", [1, 3])
+def test_batch_equals_separate_cascades(factors):
+    # unequal lengths, a repeated node, a cascade with no prediction point,
+    # Gumbel noise and dropout drawn from one stream each, in row order
+    params = _batch_params(factors)
+    weight = 0.3
+    params.reset_gradients()
+    gumbel = md.GumbelConfig(tau=0.8, rng=RngState(6))
+    dropout_rng = RngState(7)
+    expect = []
+    for cascade in BATCH_CASCADES:
+        if len(cascade) < 2:
+            expect.append(np.empty(0))
+            continue
+        out = md.forward_cascade(params, cascade, gumbel, True, 0.3, dropout_rng)
+        out.loss.backward(weight)
+        expect.append(out.step_losses)
+    want = [p.grad.copy() for p in params.parameters()]
+
+    params.reset_gradients()
+    got = _run_batch(params, BATCH_CASCADES, weight)
+    assert [len(g) for g in got] == [len(e) for e in expect]
+    for g, e in zip(got, expect):
+        assert np.max(np.abs(g - e), initial=0.0) <= 1e-13 * np.max(np.abs(e), initial=1.0)
+    for p, w in zip(params.parameters(), want):
+        assert np.max(np.abs(p.grad - w)) <= 1e-10 * np.max(np.abs(w)), p.name
+
+
+def test_batch_without_weight_leaves_gradients_alone():
+    params = _batch_params()
+    params.reset_gradients()
+    losses = _run_batch(params, BATCH_CASCADES, None)
+    assert all((p.grad == 0.0).all() for p in params.parameters())
+    assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
+
+
+def test_batch_chunks_equal_one_chunk(monkeypatch):
+    params = _batch_params(factors=2)
+    params.reset_gradients()
+    whole = _run_batch(params, BATCH_CASCADES, 0.25)
+    whole_grads = [p.grad.copy() for p in params.parameters()]
+
+    # five live rows, the longest with 7 points: two rows per chunk, three chunks
+    width = 7
+    monkeypatch.setattr(md, "_CHUNK_ELEMENTS", 2 * width * (width + params.factors * params.dim))
+    blocks = []
+    forward = md._forward_block
+    monkeypatch.setattr(md, "_forward_block", lambda p, pos, *a, **k: blocks.append(len(pos)) or forward(p, pos, *a, **k))
+    params.reset_gradients()
+    chunked = _run_batch(params, BATCH_CASCADES, 0.25)
+    assert blocks == [2, 2, 1]
+    for a, b in zip(chunked, whole):
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=1.0)
+    for p, w in zip(params.parameters(), whole_grads):
+        assert np.max(np.abs(p.grad - w)) <= 1e-12 * np.max(np.abs(w)), p.name
+
+
+def test_padded_batch_gradients_match_finite_differences():
+    # three rows of unequal length, so two of them are padded
+    params = _batch_params(factors=2)
+    cascades = [[2, 5, 2, 0, 1], [4, 1], [0, 3, 5, 3]]
+    params.reset_gradients()
+    _run_batch(params, cascades, 0.3)
+    estimates = finite_difference_gradient(
+        lambda: sum(float(x.sum()) for x in _run_batch(params, cascades, None)), params.parameters()
+    )
+    for p, e in zip(params.parameters(), estimates):
+        assert max_rel_err(p.grad, 0.3 * e) < 1e-4, f"gradient mismatch for {p.name}"
+
+
+# ---------------------------------------------------------------------------
 # prediction
 
 
@@ -357,7 +453,7 @@ def test_last_row_scores_equal_the_last_prefix_row():
             full = md.prefix_scores(params, prefix)
             some = rng.permutation(length)[: 1 + length // 2]
             for rows in (slice(-1, None), some):
-                part, _ = md._forward_positions(params, prefix, None, False, 0.0, None, rows)
+                part, _ = md._score_rows(params, _eval_block(params, prefix, rows).ys[0])
                 assert part.shape == full[rows].shape
                 assert np.max(np.abs(part - full[rows])) <= 1e-12 * np.max(np.abs(full[rows]))
 

@@ -188,6 +188,42 @@ def test_weighted_mix_matches_einsum_definition():
             assert max_rel_err(out, expect) < 1e-12
 
 
+def test_stacked_blocks_match_the_kernels_block_by_block():
+    rng = np.random.default_rng(11)
+    b, rows, total, k, d = 3, 4, 6, 2, 5
+    x, blocks = rng.normal(size=(b, rows, d)), rng.normal(size=(b, total, d))
+    factors = nm.softmax_rows(rng.normal(size=(b, total, k)))
+    attn = nm.softmax_rows(rng.normal(size=(b, rows, total)))
+    dots = nm.dot_rows(x, blocks)
+    mixed = nm.weighted_mix(attn, factors, blocks)
+    assert dots.shape == (b, rows, total) and mixed.shape == (b, rows, k, d)
+    for i in range(b):
+        assert max_rel_err(dots[i], nm.dot_rows(x[i], blocks[i])) < 1e-12
+        assert max_rel_err(mixed[i], nm.weighted_mix(attn[i], factors[i], blocks[i])) < 1e-12
+
+
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
+    def two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    special = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 36.7, -745.2]
+    x = np.concatenate([np.random.default_rng(12).normal(scale=8.0, size=10**5), special])
+    with np.errstate(over="ignore"):
+        got, expect = nm.sigmoid(x), two_branch(x)
+    # a NaN stays a NaN; its sign bit carries no value
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan) and nan.sum() == 1
+    assert np.array_equal(got[~nan].view(np.uint64), expect[~nan].view(np.uint64))
+    assert got[-5] == 1.0 and got[-4] == 0.0
+    grid = x[:35 * 64].reshape(35, 64)
+    assert np.array_equal(nm.sigmoid(grid).view(np.uint64), two_branch(grid).view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # max over an axis: np.max and the first np.argmax, the index as a size-1 axis
 
