@@ -127,12 +127,11 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
 
 @dataclass
 class Batch:
-    """Padded index block.  ``pad_mask`` is True exactly at padding slots,
-    which must never reach the loss or the attention."""
+    """Padded index block: row b holds a cascade in its first ``lengths[b]``
+    entries, then the pad index, which must never reach the loss or the attention."""
 
     indices: np.ndarray   # (B, L) int
     lengths: np.ndarray   # (B,) true lengths
-    pad_mask: np.ndarray  # (B, L) bool, True = pad
 
 
 def make_batches(
@@ -155,8 +154,7 @@ def make_batches(
         indices = np.full((len(chunk), width), pad_index, dtype=np.intp)
         for row, c in enumerate(chunk):
             indices[row, : len(c)] = c
-        pad = np.arange(width)[None, :] >= lengths[:, None]
-        batches.append(Batch(indices=indices, lengths=lengths, pad_mask=pad))
+        batches.append(Batch(indices=indices, lengths=lengths))
     return batches
 
 

@@ -8,16 +8,13 @@ layer-normalized sums give K candidate states per step, and candidates are
 scored against the shared node-embedding table with a max-over-factors
 softmax loss.
 
-``_forward_block`` is the single definition of the model: it runs every
-prefix of a padded block of B cascades at once, on plain float64 arrays and
-the array kernels of ``casdis.numerics``, stage by stage.  Training and
-validation (``batch_loss``) run it over whole batches; ``forward_cascade``,
-``prefix_scores`` and ``predict_topn`` are its B=1 case.  Scoring and the
-loss run one cascade at a time.  ``_backward_block`` and
-``_score_rows_backward`` are the model's derivative in closed form, stage by
-stage in reverse.  The test suite pins the forward to a straight-line numpy
-oracle, the backward to finite differences, and a batch to its cascades run
-one by one.
+The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``,
+for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), then
+``_head`` (attention, factors, mix, layer norm), then scoring and loss one cascade
+at a time; ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward``
+are its closed-form derivative.  ``batch_loss`` runs the recurrence per group of
+rows and the O(L^2) head per chunk of a group; the B=1 calls run ``_forward_block``,
+the two parts composed.  Tests pin it to a numpy oracle and finite differences.
 """
 
 from __future__ import annotations
@@ -166,8 +163,10 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 # ---------------------------------------------------------------------------
 # the batch pipeline
 
-# Rows of a batch run in consecutive chunks of at most this many elements of
-# rows x L x (L + K*D), and at least one row, to bound the live intermediates.
+# A batch runs its recurrence over consecutive groups of at most this many
+# elements of rows x L x D, and its head over consecutive chunks of a group of
+# at most _CHUNK_ELEMENTS of rows x L x (L + K*D), each at least one row.
+_GROUP_ELEMENTS = 2 ** 17
 _CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -184,36 +183,22 @@ class CascadeForward:
     step_losses: np.ndarray      # (t,)
 
 
-def _forward_block(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
-                   gumbel: Optional[GumbelConfig], training: bool, dropout_rate: float,
-                   dropout_rng: Optional[RngState], rows=slice(None)):
-    """Candidate states for every prefix of B cascades in one pass.
-
-    Row b of the (B, L) ``positions`` holds a cascade in its first
-    ``lengths[b]`` entries, then padding, so a padded step never feeds a real
-    one.  Returns the intermediates, ``ys`` (B, L, K, D) among them: ``ys[b,
-    t]`` belongs to the prefix of length t+1.  Dropout masks and Gumbel noise
-    are drawn one cascade at a time, in row order.  Factor weights are
-    computed once per position, and attention sees the real keys i <= t.
-
-    ``rows`` (a slice or index array over the L positions) limits attention,
-    the mix and layer norm to those prefixes; the GRU and the factor weights
-    still run over every position.  Only the default, every row, can be
-    differentiated.
-    """
+def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, training: bool,
+                dropout_rate: float, dropout_rng: Optional[RngState]):
+    """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades.
+    Row b of the (B, L) ``positions`` holds a cascade in its first ``lengths[b]``
+    entries, then padding, so a padded step never feeds a real one.  Dropout
+    masks are drawn one cascade at a time, in row order."""
     (b, width), d = positions.shape, params.dim
-    scale = 1.0 / math.sqrt(d)
-    real = np.arange(width) < lengths[:, None]
-
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
     if training and dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("dropout requested but no rng given")
-        keep = np.zeros((b, width, d))
+        keep = np.zeros((b, width, d), dtype=bool)
         for i, t in enumerate(lengths):
-            keep[i, :t] = (dropout_rng.uniform((t, d)) >= dropout_rate) / (1.0 - dropout_rate)
-        xe = xe * keep
+            keep[i, :t] = dropout_rng.uniform((t, d)) >= dropout_rate
+        xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
 
     # input transforms for every step at once, each overwritten by its gate
     # as the recurrence walks the L steps with a (B, D) state
@@ -226,8 +211,20 @@ def _forward_block(params: ModelParams, positions: np.ndarray, lengths: np.ndarr
         r[:, t] = sigmoid(r[:, t] + h @ params.u_r.data)
         cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ params.u_h.data)
         h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
+    return SimpleNamespace(positions=positions, real=np.arange(width) < lengths[:, None], keep=keep,
+                           dropout_rate=dropout_rate, xe=xe, hidden=hidden, z=z, r=r, cand=cand)
 
-    mask = np.tri(width, dtype=bool)[rows] & real[:, None, :]
+
+def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: Optional[GumbelConfig],
+          training: bool, rows=slice(None)):
+    """Attention, factors, weighted mix and layer norm on the GRU states of B
+    cascades: ``ys[b, t]`` (B, L, K, D) is for the prefix of length t+1.  Gumbel
+    noise is drawn one cascade at a time, in row order; attention sees the real
+    keys i <= t.  ``rows`` (a slice or index array over the L positions) limits
+    attention, mix and layer norm to those prefixes, and then has no backward."""
+    width, d = hidden.shape[1], params.dim
+    scale = 1.0 / math.sqrt(d)
+    mask = np.tri(width, dtype=bool)[rows] & (np.arange(width) < lengths[:, None])[:, None, :]
     attn = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
 
     unit_h, norm_h = unit_rows(hidden)
@@ -247,18 +244,24 @@ def _forward_block(params: ModelParams, positions: np.ndarray, lengths: np.ndarr
         factor_scale = scale
 
     ys, xhat, inv = layer_norm_rows(weighted_mix(attn, factors, hidden), params.ln_gain.data, params.ln_bias.data)
-    return SimpleNamespace(
-        positions=positions, real=real, keep=keep, xe=xe, hidden=hidden,
-        z=z, r=r, cand=cand, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
-        factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys,
-    )
+    return SimpleNamespace(hidden=hidden, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
+                           factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys)
+
+
+def _forward_block(params, positions, lengths, gumbel, training, dropout_rate, dropout_rng, rows=slice(None)):
+    """``_head`` after ``_recurrence``, with their arguments; the latter's intermediates are ``gru``."""
+    gru = _recurrence(params, positions, lengths, training, dropout_rate, dropout_rng)
+    return SimpleNamespace(**vars(_head(params, gru.hidden, lengths, gumbel, training, rows)), gru=gru)
 
 
 def _backward_block(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> None:
-    """Add the gradient of sum(d_ys * ys) into every ``Parameter.grad``, for
-    one ``_forward_block`` call ``c``, the Gumbel noise and dropout held fixed.
-    A padded step whose d_ys is zero gets exactly zero gradient, so only the
-    scatter into the embedding table skips padding."""
+    """Add the gradient of sum(d_ys * ys) into every grad, for one ``_forward_block`` call ``c``."""
+    _recurrence_backward(params, c.gru, _head_backward(params, c, d_ys))
+
+
+def _head_backward(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``hidden`` of sum(d_ys * ys) for one ``_head`` call ``c``,
+    Gumbel noise held fixed; the prototypes' and layer norm's shares go to their grads."""
     b, width, d = c.hidden.shape
     scale = 1.0 / math.sqrt(d)
 
@@ -284,38 +287,42 @@ def _backward_block(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -
     # causal attention over hidden @ hidden.T; masked entries have p = 0
     d_logits = scale * softmax_rows_backward(c.attn, d_attn)
     d_hidden += d_logits @ c.hidden + d_logits.transpose(0, 2, 1) @ c.hidden
+    return d_hidden
 
-    del d_attn, d_logits
+
+def _recurrence_backward(params: ModelParams, g: SimpleNamespace, d_hidden: np.ndarray) -> None:
+    """Add the gradient of sum(d_hidden * hidden), for one ``_recurrence`` call
+    ``g`` with dropout held fixed, into the grads; ``d_hidden`` is overwritten.  A padded
+    step whose d_hidden is zero gets exactly zero gradient, so only the table scatter skips padding."""
+    b, width, d = g.hidden.shape
     # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
     u_z, u_r, u_h = params.u_z.data, params.u_r.data, params.u_h.data
-    h_prev = np.concatenate([np.zeros((b, 1, d)), c.hidden[:, :-1]], axis=1)
-    d_az, d_ar, d_ah = (np.empty((b, width, d)) for _ in range(3))
-    carry = np.zeros((b, d))
+    d_az, d_ar, d_ah = d_hidden, np.empty((b, width, d)), np.empty((b, width, d))
+    carry = zeros = np.zeros((b, d))
     for t in range(width - 1, -1, -1):
-        z, r, cand = c.z[:, t], c.r[:, t], c.cand[:, t]
+        z, r, cand = g.z[:, t], g.r[:, t], g.cand[:, t]
+        h_prev = g.hidden[:, t - 1] if t else zeros
         dh = d_hidden[:, t] + carry
         d_ah[:, t] = dh * z * (1.0 - cand * cand)
         d_rh = d_ah[:, t] @ u_h.T
-        d_ar[:, t] = d_rh * h_prev[:, t] * r * (1.0 - r)
-        d_az[:, t] = dh * (cand - h_prev[:, t]) * z * (1.0 - z)
+        d_ar[:, t] = d_rh * h_prev * r * (1.0 - r)
+        d_az[:, t] = dh * (cand - h_prev) * z * (1.0 - z)
         carry = dh * (1.0 - z) + d_rh * r + d_ar[:, t] @ u_r.T + d_az[:, t] @ u_z.T
 
-    d_xe = 0.0
-    for w, u, bias, d_a, inputs in (
-        (params.w_z, params.u_z, params.b_z, d_az, h_prev),
-        (params.w_r, params.u_r, params.b_r, d_ar, h_prev),
-        (params.w_h, params.u_h, params.b_h, d_ah, c.r * h_prev),
-    ):
+    h_prev = np.concatenate([np.zeros((b, 1, d)), g.hidden[:, :-1]], axis=1).reshape(-1, d)
+    d_xe = np.zeros((b * width, d))
+    for gate, d_a in zip("zrh", (d_az, d_ar, d_ah)):
+        w, u, bias = (getattr(params, f"{kind}_{gate}") for kind in "wub")
         d_a = d_a.reshape(-1, d)
-        u.grad += inputs.reshape(-1, d).T @ d_a
-        w.grad += c.xe.reshape(-1, d).T @ d_a
+        u.grad += (g.r.reshape(-1, d) * h_prev if gate == "h" else h_prev).T @ d_a
+        w.grad += g.xe.reshape(-1, d).T @ d_a
         bias.grad += d_a.sum(axis=0)
-        d_xe = d_xe + d_a @ w.data.T
+        d_xe += d_a @ w.data.T
     d_xe = d_xe.reshape(b, width, d)
-    if c.keep is not None:
-        d_xe = d_xe * c.keep
+    if g.keep is not None:
+        d_xe *= np.where(g.keep, 1.0 / (1.0 - g.dropout_rate), 0.0)
     # rows repeat when a node recurs in a cascade: add.at accumulates them
-    np.add.at(params.embeddings.grad, c.positions[c.real], d_xe[c.real])
+    np.add.at(params.embeddings.grad, g.positions[g.real], d_xe[g.real])
 
 
 def _score_rows(params: ModelParams, ys: np.ndarray):
@@ -370,29 +377,39 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
     (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
     their sum into every ``Parameter.grad``; ``None`` computes no gradient.
 
-    Rows run in consecutive chunks under ``_CHUNK_ELEMENTS``.  Scoring, loss
-    and scoring backward go one row at a time: one (t, K, N) block is live.
+    The recurrence runs per group of rows (``_GROUP_ELEMENTS``), the head per chunk of a group
+    (``_CHUNK_ELEMENTS``), each chunk's head backward into the group's one ``d_hidden`` for one
+    recurrence backward.  Scoring, loss and its backward go row by row: one (t, K, N) block is live.
     """
     indices, points = np.asarray(batch.indices), np.asarray(batch.lengths) - 1
     _check_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
     out = [np.empty(0)] * len(points)
     live = np.flatnonzero(points >= 1)
     width = int(points.max(initial=0))
+    per_group = max(1, _GROUP_ELEMENTS // max(1, width * params.dim))
     per_chunk = max(1, _CHUNK_ELEMENTS // max(1, width * (width + params.factors * params.dim)))
-    for start in range(0, len(live), per_chunk):
-        chosen = live[start:start + per_chunk]
-        lengths = points[chosen]
+    for start in range(0, len(live), per_group):
+        group = live[start:start + per_group]
+        lengths = points[group]
         span = int(lengths.max())
-        positions = np.where(np.arange(span) < lengths[:, None], indices[chosen, :span], params.pad_index)
-        c = _forward_block(params, positions, lengths, gumbel, training, dropout_rate, dropout_rng)
-        d_ys = None if weight is None else np.zeros(c.ys.shape)
-        for j, (row, t) in enumerate(zip(chosen, lengths)):
-            out[row], score_backward = _row_loss(params, c.ys[j, :t], indices[row, 1:t + 1])
+        positions = np.where(np.arange(span) < lengths[:, None], indices[group, :span], params.pad_index)
+        g = _recurrence(params, positions, lengths, training, dropout_rate, dropout_rng)
+        d_hidden = None if weight is None else np.zeros(g.hidden.shape)
+        for first in range(0, len(group), per_chunk):
+            sel = slice(first, first + per_chunk)
+            reach = int(lengths[sel].max())
+            c = _head(params, g.hidden[sel, :reach], lengths[sel], gumbel, training)
+            d_ys = None if weight is None else np.zeros(c.ys.shape)
+            for j, (row, t) in enumerate(zip(group[sel], lengths[sel])):
+                out[row], score_backward = _row_loss(params, c.ys[j, :t], indices[row, 1:t + 1])
+                if weight is not None:
+                    d_ys[j, :t] = score_backward(weight)
             if weight is not None:
-                d_ys[j, :t] = score_backward(weight)
+                d_hidden[sel, :reach] = _head_backward(params, c, d_ys)
+            del c, d_ys, score_backward  # the next chunk runs without this one's intermediates
         if weight is not None:
-            _backward_block(params, c, d_ys)
-        del c, d_ys, score_backward  # the next chunk runs without this one's intermediates
+            _recurrence_backward(params, g, d_hidden)
+        del g, d_hidden
     return out
 
 

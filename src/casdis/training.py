@@ -136,8 +136,8 @@ def mean_step_loss(
     cascades,
     max_len: int = 200,
 ) -> float:
-    """Evaluation-mode loss per prediction step (no noise, no dropout) of
-    every cascade cut to its first ``max_len`` nodes, as one batch."""
+    """Evaluation-mode loss per step (no noise, no dropout) of every cascade cut to
+    ``max_len`` nodes, as one ``batch_loss`` batch, whose groups and chunks bound the memory."""
     cascades, total, steps = list(cascades), 0.0, 0
     for batch in make_batches(cascades, max(len(cascades), 1), max_len, params.pad_index):
         for losses in batch_loss(params, batch, None):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,6 +385,14 @@ def test_batch_without_weight_leaves_gradients_alone():
     assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
 
 
+def _assert_matches(params, losses, want_losses, want_grads):
+    """Step losses and every grad within 1e-12 of the reference run's."""
+    for a, b in zip(losses, want_losses):
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=1.0)
+    for p, w in zip(params.parameters(), want_grads):
+        assert np.max(np.abs(p.grad - w)) <= 1e-12 * np.max(np.abs(w)), p.name
+
+
 def test_batch_chunks_equal_one_chunk(monkeypatch):
     params = _batch_params(factors=2)
     params.reset_gradients()
@@ -394,15 +403,56 @@ def test_batch_chunks_equal_one_chunk(monkeypatch):
     width = 7
     monkeypatch.setattr(md, "_CHUNK_ELEMENTS", 2 * width * (width + params.factors * params.dim))
     blocks = []
-    forward = md._forward_block
-    monkeypatch.setattr(md, "_forward_block", lambda p, pos, *a, **k: blocks.append(len(pos)) or forward(p, pos, *a, **k))
+    head = md._head
+    monkeypatch.setattr(md, "_head", lambda p, hidden, *a, **k: blocks.append(len(hidden)) or head(p, hidden, *a, **k))
     params.reset_gradients()
     chunked = _run_batch(params, BATCH_CASCADES, 0.25)
     assert blocks == [2, 2, 1]
-    for a, b in zip(chunked, whole):
-        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=1.0)
-    for p, w in zip(params.parameters(), whole_grads):
-        assert np.max(np.abs(p.grad - w)) <= 1e-12 * np.max(np.abs(w)), p.name
+    _assert_matches(params, chunked, whole, whole_grads)
+
+
+def test_batch_groups_equal_one_group(monkeypatch):
+    params = _batch_params(factors=2)
+    cascades = BATCH_CASCADES * 2  # ten live rows, the longest with 7 points
+    params.reset_gradients()
+    whole = _run_batch(params, cascades, 0.25)
+    whole_grads = [p.grad.copy() for p in params.parameters()]
+
+    # two recurrence groups of five rows, each run as head chunks of 2, 2 and 1 rows
+    width = 7
+    monkeypatch.setattr(md, "_GROUP_ELEMENTS", 5 * width * params.dim)
+    monkeypatch.setattr(md, "_CHUNK_ELEMENTS", 2 * width * (width + params.factors * params.dim))
+    groups, blocks = [], []
+    recurrence, head = md._recurrence, md._head
+    monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(pos.shape) or recurrence(p, pos, *a))
+    monkeypatch.setattr(md, "_head", lambda p, hidden, *a: blocks.append(len(hidden)) or head(p, hidden, *a))
+    params.reset_gradients()
+    grouped = _run_batch(params, cascades, 0.25)
+    assert [rows for rows, _ in groups] == [5, 5] and blocks == [2, 2, 1] * 2
+    assert all(rows * span * params.dim <= md._GROUP_ELEMENTS for rows, span in groups)
+    _assert_matches(params, grouped, whole, whole_grads)
+
+
+def test_bool_dropout_mask_scales_like_the_float_mask():
+    # distinct nodes, so the embedding grad of each real position is its d_xe
+    params = small_params(num_nodes=9, dim=4, factors=2, seed=60)
+    pad = params.pad_index
+    positions = np.array([[0, 1, 2, 3, 4], [5, 6, 7, pad, pad]])
+    lengths, rate = np.array([5, 3]), 0.3
+    g = md._recurrence(params, positions, lengths, True, rate, RngState(8))
+    draws, mask = RngState(8), np.zeros((2, 5, 4))
+    for i, t in enumerate(lengths):
+        mask[i, :t] = (draws.uniform((t, 4)) >= rate) / (1.0 - rate)
+    assert g.keep.dtype == bool and 0 < g.keep.sum() < g.real.sum() * 4
+    assert g.xe.tobytes() == (params.embeddings.data[positions] * mask).tobytes()
+
+    d_hidden = np.random.default_rng(9).normal(size=g.hidden.shape) * g.real[..., None]
+    params.reset_gradients()
+    md._recurrence_backward(params, SimpleNamespace(**{**vars(g), "keep": None}), d_hidden.copy())
+    unmasked = params.embeddings.grad[positions[g.real]]
+    params.reset_gradients()
+    md._recurrence_backward(params, g, d_hidden.copy())
+    assert np.array_equal(params.embeddings.grad[positions[g.real]], unmasked * mask[g.real])
 
 
 def test_padded_batch_gradients_match_finite_differences():

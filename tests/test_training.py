@@ -1,9 +1,12 @@
 import logging
 
+import numpy as np
+
 from casdis import data as dt
 from casdis import evaluation as ev
 from casdis import model as md
 from casdis import training as tr
+from casdis.numerics import RngState
 
 
 def test_two_community_run_learns(two_community_run):
@@ -23,3 +26,27 @@ def test_library_writes_nothing_to_stdout(capfd, caplog):
     ev.evaluate(result.params, split.test)
     md.predict_topn(result.params, [2, 0], 3)
     assert len(result.log) == 2 and capfd.readouterr().out == ""
+
+
+def test_validation_recurrence_stays_within_its_group_bound(monkeypatch):
+    # D=32 and 120 cascades of 40 nodes: 120 x 39 x 32 = 149,760 elements, more
+    # than one recurrence group holds, in the single validation batch
+    params = md.init_params(50, 32, 2, RngState(3))
+    rng = np.random.default_rng(4)
+    cascades = [rng.integers(0, 50, size=40).tolist() for _ in range(120)]
+    groups = []
+    recurrence = md._recurrence
+    monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(pos.shape) or recurrence(p, pos, *a))
+    loss = tr.mean_step_loss(params, cascades)
+    assert md._GROUP_ELEMENTS == 2 ** 17 and len(groups) >= 2
+    assert all(rows * span * params.dim <= 2 ** 17 for rows, span in groups)
+
+    # each group's cascades as a batch of their own give the same step losses
+    total, steps, start = 0.0, 0, 0
+    for rows, _ in list(groups):
+        (batch,) = dt.make_batches(cascades[start:start + rows], rows, pad_index=params.pad_index)
+        for losses in md.batch_loss(params, batch, None):
+            total += float(losses.sum())
+            steps += len(losses)
+        start += rows
+    assert start == len(cascades) and loss == total / steps
