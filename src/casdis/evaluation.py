@@ -1,7 +1,8 @@
 """Ranking metrics over every prediction point of a cascade set.
 
 Each prefix of each test cascade is one retrieval query: score all candidate
-nodes, find the rank of the true next node, aggregate hits@N and map@N.
+nodes, find the rank of the true next node, aggregate hits@N and map@N.  The
+cascade set is scored as one padded batch by ``model.batch_scores``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .model import ModelParams, prefix_scores
+from .data import make_batches
+from .model import ModelParams, batch_scores
 
 DEFAULT_N_VALUES = (10, 50, 100)
 
@@ -56,17 +58,17 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 
 
 def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
-    """Target ranks for every prefix of every cascade, evaluation mode,
-    under the tie-break of ``rank_of_target``, a whole score block at once."""
+    """Target ranks for every prefix of every cascade, evaluation mode, under the
+    tie-break of ``rank_of_target``.  The cascades run uncut as one ``batch_scores`` batch,
+    whose groups and chunks bound the memory; each row's (t, N) block is ranked at once."""
     all_ranks: List[int] = []
-    for cascade in cascades:
-        if len(cascade) < 2:
-            continue
-        idx = np.asarray(cascade, dtype=np.intp)
-        scores, targets = prefix_scores(params, idx[:-1]), idx[1:]
-        own = scores[np.arange(len(targets)), targets][:, None]
-        before = np.arange(scores.shape[1]) < targets[:, None]
-        all_ranks.extend((1 + (scores > own).sum(1) + ((scores == own) & before).sum(1)).tolist())
+    longest = max(map(len, cascades), default=0)
+    for batch in make_batches(cascades, max(len(cascades), 1), longest, params.pad_index):
+        for row, scores in batch_scores(params, batch):
+            targets = batch.indices[row, 1:len(scores) + 1]
+            own = scores[np.arange(len(targets)), targets][:, None]
+            before = np.arange(scores.shape[1]) < targets[:, None]
+            all_ranks.extend((1 + (scores > own).sum(1) + ((scores == own) & before).sum(1)).tolist())
     return all_ranks
 
 
@@ -75,7 +77,8 @@ def evaluate(
     cascades: Sequence[Sequence[int]],
     n_values: Sequence[int] = DEFAULT_N_VALUES,
 ) -> EvalReport:
-    """hits@N and map@N over all prediction points of ``cascades``."""
+    """hits@N and map@N over all prediction points of ``cascades``, scored as one
+    batch by ``collect_ranks``; a node index out of range anywhere raises ValueError."""
     if not cascades:
         raise ValueError("evaluate needs a non-empty cascade list")
     ranks = collect_ranks(params, cascades)

@@ -12,9 +12,10 @@ The model is defined once, on float64 arrays and the kernels of ``casdis.numeric
 for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), then
 ``_head`` (attention, factors, mix, layer norm), then scoring and loss one cascade
 at a time; ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward``
-are its closed-form derivative.  ``batch_loss`` runs the recurrence per group of
-rows and the O(L^2) head per chunk of a group; the B=1 calls run ``_forward_block``,
-the two parts composed.  Tests pin it to a numpy oracle and finite differences.
+are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
+rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
+and ``batch_scores`` (evaluation); the B=1 calls run ``_forward_block``, the two parts
+composed.  Tests pin it to a numpy oracle and finite differences.
 """
 
 from __future__ import annotations
@@ -370,20 +371,14 @@ def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
         )
 
 
-def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
-               training: bool = False, dropout_rate: float = 0.0,
-               dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
-    """Step losses of every cascade of a padded ``Batch``, one array per row
-    (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
-    their sum into every ``Parameter.grad``; ``None`` computes no gradient.
-
-    The recurrence runs per group of rows (``_GROUP_ELEMENTS``), the head per chunk of a group
-    (``_CHUNK_ELEMENTS``), each chunk's head backward into the group's one ``d_hidden`` for one
-    recurrence backward.  Scoring, loss and its backward go row by row: one (t, K, N) block is live.
-    """
+def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, training: bool = False,
+            dropout_rate: float = 0.0, dropout_rng: Optional[RngState] = None):
+    """Run each row of a padded ``Batch`` with t >= 1 prediction points on its first t nodes, the recurrence
+    per group of rows (``_GROUP_ELEMENTS``), the head per chunk of a group (``_CHUNK_ELEMENTS``).  Yields each
+    chunk's rows, their t, its candidate states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill;
+    then runs the chunk's head backward, and after a group's last chunk its recurrence backward."""
     indices, points = np.asarray(batch.indices), np.asarray(batch.lengths) - 1
     _check_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
-    out = [np.empty(0)] * len(points)
     live = np.flatnonzero(points >= 1)
     width = int(points.max(initial=0))
     per_group = max(1, _GROUP_ELEMENTS // max(1, width * params.dim))
@@ -394,23 +389,50 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
         span = int(lengths.max())
         positions = np.where(np.arange(span) < lengths[:, None], indices[group, :span], params.pad_index)
         g = _recurrence(params, positions, lengths, training, dropout_rate, dropout_rng)
-        d_hidden = None if weight is None else np.zeros(g.hidden.shape)
+        d_hidden = np.zeros(g.hidden.shape) if grad else None
         for first in range(0, len(group), per_chunk):
             sel = slice(first, first + per_chunk)
             reach = int(lengths[sel].max())
             c = _head(params, g.hidden[sel, :reach], lengths[sel], gumbel, training)
-            d_ys = None if weight is None else np.zeros(c.ys.shape)
-            for j, (row, t) in enumerate(zip(group[sel], lengths[sel])):
-                out[row], score_backward = _row_loss(params, c.ys[j, :t], indices[row, 1:t + 1])
-                if weight is not None:
-                    d_ys[j, :t] = score_backward(weight)
-            if weight is not None:
+            d_ys = np.zeros(c.ys.shape) if grad else None
+            yield group[sel], lengths[sel], c.ys, d_ys
+            if grad:
                 d_hidden[sel, :reach] = _head_backward(params, c, d_ys)
-            del c, d_ys, score_backward  # the next chunk runs without this one's intermediates
-        if weight is not None:
+            del c, d_ys  # the next chunk runs without this one's intermediates
+        if grad:
             _recurrence_backward(params, g, d_hidden)
         del g, d_hidden
+
+
+def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
+               training: bool = False, dropout_rate: float = 0.0,
+               dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
+    """Step losses of every cascade of a padded ``Batch``, one array per row
+    (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
+    their sum into every ``Parameter.grad``; ``None`` computes no gradient.
+
+    The rows run through ``_chunks``, whose groups and chunks bound the memory; scoring,
+    loss and its backward go row by row, so one (t, K, N) block is live.
+    """
+    indices = np.asarray(batch.indices)
+    out = [np.empty(0)] * len(batch.lengths)
+    for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, training,
+                                           dropout_rate, dropout_rng):
+        for j, (row, t) in enumerate(zip(rows, lengths)):
+            out[row], score_backward = _row_loss(params, ys[j, :t], indices[row, 1:t + 1])
+            if weight is not None:
+                d_ys[j, :t] = score_backward(weight)
+        del ys, d_ys, score_backward  # _chunks runs the next chunk without this one's arrays
     return out
+
+
+def batch_scores(params: ModelParams, batch):
+    """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of a padded ``Batch``
+    with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row order, one (t, N) block
+    at a time, whose row i scores the next node after the first i+1 nodes."""
+    for rows, lengths, ys, _ in _chunks(params, batch, grad=False):
+        for j, (row, t) in enumerate(zip(rows, lengths)):
+            yield int(row), _score_rows(params, ys[j, :t])[0]
 
 
 def forward_cascade(

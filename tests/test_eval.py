@@ -135,6 +135,68 @@ def test_block_ranks_equal_rank_of_target_across_exact_ties():
     assert ev.collect_ranks(params, cascades) == expect
 
 
+def _prefix_ranks(params, cascades):
+    """Target ranks from one B=1 ``prefix_scores`` call per cascade."""
+    return [ev.rank_of_target(row, cascade[t + 1])
+            for cascade in cascades if len(cascade) > 1
+            for t, row in enumerate(md.prefix_scores(params, cascade[:-1]))]
+
+
+def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkeypatch):
+    # lengths 1, 2 and 3-12, and one cascade of 230 nodes that make_batches'
+    # default max_len of 200 would cut: ten live rows, the longest with 229 points
+    rng = np.random.default_rng(29)
+    params = md.init_params(30, 4, 3, RngState(29))
+    cascades = [[5], [3, 7]] + [rng.integers(0, 30, size=n).tolist() for n in (3, 12, 7, 9)]
+    cascades += [rng.integers(0, 30, size=230).tolist()] + [rng.integers(0, 30, size=n).tolist() for n in (4, 11, 6, 10)]
+    width = 229
+    monkeypatch.setattr(md, "_GROUP_ELEMENTS", 4 * width * params.dim)
+    monkeypatch.setattr(md, "_CHUNK_ELEMENTS", 2 * width * (width + params.factors * params.dim))
+    groups, blocks = [], []
+    recurrence, head = md._recurrence, md._head
+    monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(len(pos)) or recurrence(p, pos, *a))
+    monkeypatch.setattr(md, "_head", lambda p, hidden, *a: blocks.append(len(hidden)) or head(p, hidden, *a))
+    ranks = ev.collect_ranks(params, cascades)
+    assert groups == [4, 4, 2] and blocks == [2, 2, 2, 2, 2]
+    assert len(ranks) == sum(len(c) - 1 for c in cascades[1:])
+    assert ranks == _prefix_ranks(params, cascades)
+
+
+def test_batch_scores_yields_live_rows_in_order():
+    params = md.init_params(12, 4, 2, RngState(30))
+    cascades = [[4, 1, 2], [3], [], [0, 5, 2, 6, 11], [7, 1], [9]]
+    (batch,) = dt.make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    got = list(md.batch_scores(params, batch))
+    assert [row for row, _ in got] == [0, 3, 4]
+    for row, scores in got:
+        want = md.prefix_scores(params, cascades[row][:-1])
+        assert scores.shape == want.shape == (len(cascades[row]) - 1, 12)
+        assert np.max(np.abs(scores - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_eval_recurrence_stays_within_its_group_bound(monkeypatch):
+    # D=32 and 120 cascades of 40 nodes: 120 x 39 x 32 = 149,760 elements, more
+    # than one recurrence group holds, in the single evaluation batch
+    params = md.init_params(50, 32, 2, RngState(3))
+    rng = np.random.default_rng(4)
+    cascades = [rng.integers(0, 50, size=40).tolist() for _ in range(120)]
+    groups = []
+    recurrence = md._recurrence
+    monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(pos.shape) or recurrence(p, pos, *a))
+    report = ev.evaluate(params, cascades)
+    assert md._GROUP_ELEMENTS == 2 ** 17 and len(groups) >= 2
+    assert all(rows * span * params.dim <= 2 ** 17 for rows, span in groups)
+    assert sum(rows for rows, _ in groups) == 120 and report.prediction_points == 120 * 39
+
+
+@pytest.mark.parametrize("bad", [[1, 30, 2], [1, 2, 30], [1, -1, 2], [2, 3, -1], [30]])
+def test_evaluate_rejects_an_out_of_range_node_anywhere(bad):
+    # in a prefix, as the last target, or alone; -1 must not wrap to node 29
+    params = md.init_params(30, 4, 2, RngState(31))
+    with pytest.raises(ValueError, match="outside"):
+        ev.evaluate(params, [[0, 1, 2], bad, [3, 4]])
+
+
 def test_evaluate_monotonicity_invariants():
     rng = np.random.default_rng(4)
     for seed in range(3):
