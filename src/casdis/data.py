@@ -39,9 +39,6 @@ class Vocabulary:
     def id_of(self, idx: int) -> str:
         return self.ids[idx]
 
-    def index_of(self, raw: str) -> int:
-        return self.index[raw]
-
 
 @dataclass
 class ParsedCascades:

@@ -49,8 +49,8 @@ class GumbelConfig:
     rng: Optional[RngState] = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:  # also refuses NaN
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
 
 
 _PARAM_NAMES = (
@@ -189,7 +189,8 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
     """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades.
     Row b of the (B, L) ``positions`` holds a cascade in its first ``lengths[b]``
     entries, then padding, so a padded step never feeds a real one.  Dropout
-    masks are drawn one cascade at a time, in row order."""
+    masks are drawn one cascade at a time, in row order.  The update and reset
+    gates live in one (B, L, 2D) block; the returned ``z`` and ``r`` are its halves."""
     (b, width), d = positions.shape, params.dim
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
@@ -201,19 +202,22 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
             keep[i, :t] = dropout_rng.uniform((t, d)) >= dropout_rate
         xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
 
-    # input transforms for every step at once, each overwritten by its gate
-    # as the recurrence walks the L steps with a (B, D) state
-    z = xe @ params.w_z.data + params.b_z.data
-    r = xe @ params.w_r.data + params.b_r.data
+    # input transforms for every step at once: the update and reset gates as
+    # one (B, L, 2D) block zr = [z | r], the candidate apart.  Each step runs one
+    # recurrent GEMM and one sigmoid on its zr slice, then the candidate's tanh,
+    # all in place, as the recurrence walks the L steps with a (B, D) state
+    zr = xe @ np.hstack([params.w_z.data, params.w_r.data]) + np.hstack([params.b_z.data, params.b_r.data])
     cand = xe @ params.w_h.data + params.b_h.data
+    u_zr, u_h = np.hstack([params.u_z.data, params.u_r.data]), params.u_h.data
     hidden, h = np.empty((b, width, d)), np.zeros((b, d))
     for t in range(width):
-        z[:, t] = sigmoid(z[:, t] + h @ params.u_z.data)
-        r[:, t] = sigmoid(r[:, t] + h @ params.u_r.data)
-        cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ params.u_h.data)
-        h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
+        gates, c = zr[:, t], cand[:, t]
+        sigmoid(np.add(gates, h @ u_zr, out=gates), out=gates)
+        z, r = gates[:, :d], gates[:, d:]
+        np.tanh(np.add(c, (r * h) @ u_h, out=c), out=c)
+        h = hidden[:, t] = (1.0 - z) * h + z * c
     return SimpleNamespace(positions=positions, real=np.arange(width) < lengths[:, None], keep=keep,
-                           dropout_rate=dropout_rate, xe=xe, hidden=hidden, z=z, r=r, cand=cand)
+                           dropout_rate=dropout_rate, xe=xe, hidden=hidden, z=zr[..., :d], r=zr[..., d:], cand=cand)
 
 
 def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: Optional[GumbelConfig],

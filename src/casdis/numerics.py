@@ -119,11 +119,12 @@ def gather_rows(table: np.ndarray, idx) -> np.ndarray:
     return table[idx]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
-    exp overflows; both branches share e = exp(-|x|)."""
+    exp overflows; both branches share e = exp(-|x|).  Written into ``out``
+    when given, which may be ``x`` itself."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def softmax_rows(logits, mask=None) -> np.ndarray:

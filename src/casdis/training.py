@@ -41,14 +41,14 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.lr_init <= 0 or self.batch_size < 1 or self.max_epochs < 0:
-            raise ValueError("lr_init, batch_size and max_epochs must be positive")
+        if not 0 < self.lr_init < math.inf or self.batch_size < 1 or self.max_epochs < 0:  # also refuses NaN
+            raise ValueError("lr_init must be finite and positive, batch_size and max_epochs positive")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.patience < 1 or self.lr_patience < 1:
             raise ValueError(f"patience and lr_patience must be >= 1, got {self.patience}, {self.lr_patience}")
         if not self.clip_norm >= 0:  # also refuses NaN

@@ -228,6 +228,10 @@ def test_flags_refuse_what_config_files_refuse(workspace):
     ("train", "lr-patience", "0"),
     ("train", "clip-norm", "-1"),
     ("ablate", "n-list", "10,0"),
+    ("train", "lr", "nan"),
+    ("train", "lr", "inf"),
+    ("train", "tau", "nan"),
+    ("train", "tau", "inf"),
 ], ids=lambda v: v)
 def test_invalid_hyperparameters_exit_before_any_output(workspace, command, flag, value):
     tmp_path, data, _ = workspace

@@ -6,7 +6,7 @@ import pytest
 
 from casdis import model as md
 from casdis.data import make_batches
-from casdis.numerics import RngState, finite_difference_gradient
+from casdis.numerics import RngState, finite_difference_gradient, sigmoid
 
 from test_numerics import max_rel_err
 
@@ -453,6 +453,34 @@ def test_bool_dropout_mask_scales_like_the_float_mask():
     params.reset_gradients()
     md._recurrence_backward(params, g, d_hidden.copy())
     assert np.array_equal(params.embeddings.grad[positions[g.real]], unmasked * mask[g.real])
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("dim", [4, 32])
+def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
+    # the fused z|r block gives the bits of three gate GEMMs and two sigmoids per step
+    params = md.init_params(9, dim, 2, RngState(61))
+    pad = params.pad_index
+    positions = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, pad, pad, pad], [2, pad, pad, pad, pad, pad]])
+    lengths = np.array([6, 3, 1])
+    g = md._recurrence(params, positions, lengths, rate > 0, rate, RngState(8))
+
+    xe = params.embeddings.data[positions]
+    if rate:
+        draws, mask = RngState(8), np.zeros(xe.shape)
+        for i, t in enumerate(lengths):
+            mask[i, :t] = np.where(draws.uniform((t, dim)) >= rate, 1.0 / (1.0 - rate), 0.0)
+        xe *= mask
+    p = {name: q.data for name, q in params.named_parameters()}
+    z, r, cand = (xe @ p[f"w_{gate}"] + p[f"b_{gate}"] for gate in "zrh")
+    hidden, h = np.empty(xe.shape), np.zeros((len(lengths), dim))
+    for t in range(positions.shape[1]):
+        z[:, t] = sigmoid(z[:, t] + h @ p["u_z"])
+        r[:, t] = sigmoid(r[:, t] + h @ p["u_r"])
+        cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ p["u_h"])
+        h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
+    for name, expect in (("hidden", hidden), ("z", z), ("r", r), ("cand", cand)):
+        assert np.array_equal(getattr(g, name), expect), name
 
 
 def test_padded_batch_gradients_match_finite_differences():

@@ -202,6 +202,11 @@ def test_stacked_blocks_match_the_kernels_block_by_block():
         assert max_rel_err(mixed[i], nm.weighted_mix(attn[i], factors[i], blocks[i])) < 1e-12
 
 
+def _sigmoid_inputs():
+    special = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 36.7, -745.2]
+    return np.concatenate([np.random.default_rng(12).normal(scale=8.0, size=10**5), special])
+
+
 def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
     def two_branch(x):
         out = np.empty_like(x)
@@ -211,8 +216,7 @@ def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    special = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan, 36.7, -745.2]
-    x = np.concatenate([np.random.default_rng(12).normal(scale=8.0, size=10**5), special])
+    x = _sigmoid_inputs()
     with np.errstate(over="ignore"):
         got, expect = nm.sigmoid(x), two_branch(x)
     # a NaN stays a NaN; its sign bit carries no value
@@ -222,6 +226,16 @@ def test_sigmoid_is_bit_identical_to_the_two_branch_formula():
     assert got[-5] == 1.0 and got[-4] == 0.0
     grid = x[:35 * 64].reshape(35, 64)
     assert np.array_equal(nm.sigmoid(grid).view(np.uint64), two_branch(grid).view(np.uint64))
+
+
+def test_sigmoid_in_place_gives_the_same_bits():
+    # the GRU writes each step's gates over their pre-activations, a strided view of a bigger block
+    x = _sigmoid_inputs()
+    grid = x[:35 * 64].reshape(35, 64)
+    for buf in (x.copy(), grid.copy(), grid.copy()[:, 32:]):
+        expect = nm.sigmoid(buf)
+        assert nm.sigmoid(buf, out=buf) is buf
+        assert np.array_equal(buf.view(np.uint64), expect.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import logging
+import math
 
 import numpy as np
+import pytest
 
 from casdis import data as dt
 from casdis import evaluation as ev
@@ -16,6 +18,16 @@ def test_two_community_run_learns(two_community_run):
     """
     assert two_community_run["result"].stopped == "early_stop"
     assert two_community_run["report"].hits[10] > 0.45
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("build", [
+    lambda v: tr.TrainConfig(lr_init=v), lambda v: tr.TrainConfig(tau=v), lambda v: md.GumbelConfig(tau=v),
+], ids=["TrainConfig.lr_init", "TrainConfig.tau", "GumbelConfig.tau"])
+def test_configs_refuse_a_learning_rate_or_temperature_that_is_not_finite(build, value):
+    # NaN passes a plain "<= 0" check, and an infinite tau flattens the factor logits to 0
+    with pytest.raises(ValueError, match="finite and positive"):
+        build(value)
 
 
 def test_library_writes_nothing_to_stdout(capfd, caplog):
