@@ -16,6 +16,11 @@ are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group
 rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
 and ``batch_scores`` (evaluation); the B=1 calls run ``_forward_block``, the two parts
 composed.  Tests pin it to a numpy oracle and finite differences.
+
+Scoring (``_score_rows``) takes each candidate's best factor.  Only a call that
+wants a gradient (training, ``forward_cascade``) keeps the index of that factor for
+the backward; evaluation, ``prefix_scores``/``predict_topn`` and validation take the
+max of the unscaled product and scale the (t, N) maximum once, with the same bits.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ class GumbelConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:  # also refuses NaN
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        # a noisy factor logit cos/sqrt(D) + g lies within 1/sqrt(2) + 27.7 of 0 (D >= 2,
+        # and RngState.gumbel clips u to [1e-12, 1 - 1e-12]); the softmax takes 1/tau times
+        # it and subtracts the row's maximum, so twice that bound over tau must be finite
+        if not math.isfinite(1.0 / self.tau * 2.0 * (1.0 / math.sqrt(2.0) + 27.7)):
+            raise ValueError(f"tau {self.tau} is too small: the Gumbel-noised factor logits lie within "
+                             "1/sqrt(2) + 27.7 of 0, and their spread over tau leaves the float64 range")
 
 
 _PARAM_NAMES = (
@@ -330,16 +341,29 @@ def _recurrence_backward(params: ModelParams, g: SimpleNamespace, d_hidden: np.n
     np.add.at(params.embeddings.grad, g.positions[g.real], d_xe[g.real])
 
 
-def _score_rows(params: ModelParams, ys: np.ndarray):
+def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
     """Scores (t, N) of one cascade's candidate states ``ys`` (t, K, D), each
-    candidate by its best factor, and the (t, 1, N) index of that factor."""
+    candidate by its best factor, and, if ``grad``, the (t, 1, N) index of that
+    factor that ``_score_rows_backward`` routes by (else None).
+
+    Only the gradient path builds the index, and it keeps it on the scaled (t, K, N)
+    product: two distinct unscaled values can round to one scaled value, and the
+    first-index tie-break would then route to another factor.  Without a gradient
+    the max runs on the unscaled product and only the (t, N) maximum is scaled.
+    Rounding c*x for c > 0 is monotone, so max_k fl(c x_k) = fl(c max_k x_k) and
+    both paths give the same scores bit for bit, NaN included."""
     d = params.dim
     table = params.embeddings.data[:params.num_nodes]
     # one GEMM, not dot_rows: the benchmark's tracer sizes a scoring-stage
-    # dot_rows call from its arguments' .data.  The fresh product is scaled in place.
+    # dot_rows call from its arguments' .data.  Fresh arrays are scaled in place.
     per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
-    per_factor *= 1.0 / math.sqrt(d)
-    return max_over_axis(per_factor, 1)
+    scale = 1.0 / math.sqrt(d)
+    if grad:
+        per_factor *= scale
+        return max_over_axis(per_factor, 1)
+    scores = max_over_axis(per_factor, 1, index=False)
+    scores *= scale
+    return scores, None
 
 
 def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, d_scores: np.ndarray):
@@ -353,19 +377,22 @@ def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, 
     return (d_pf.reshape(-1, n) @ params.embeddings.data[:n]).reshape(ys.shape)
 
 
-def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray):
-    """Step losses of one cascade from its candidate states ``ys`` and
-    targets, and the function of a weight g that gives g d(sum)/d(ys)."""
-    scores, best = _score_rows(params, ys)
+def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bool):
+    """Step losses of one cascade from its candidate states ``ys`` and targets,
+    and, if ``grad``, the function of a weight g that gives g d(sum)/d(ys) (else None)."""
+    scores, best = _score_rows(params, ys, grad)
     steps = np.arange(len(targets))
     lse = logsumexp(scores)
+    losses = lse[:, 0] - scores[steps, targets]
+    if not grad:
+        return losses, None
 
     def backward(g):
         d_scores = np.exp(scores - lse) * g
         d_scores[steps, targets] -= g
         return _score_rows_backward(params, ys, best, d_scores)
 
-    return lse[:, 0] - scores[steps, targets], backward
+    return losses, backward
 
 
 def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
@@ -416,14 +443,15 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
     their sum into every ``Parameter.grad``; ``None`` computes no gradient.
 
     The rows run through ``_chunks``, whose groups and chunks bound the memory; scoring,
-    loss and its backward go row by row, so one (t, K, N) block is live.
+    loss and its backward go row by row, so one (t, K, N) block is live.  Without a
+    ``weight``, scoring builds no factor index (see ``_score_rows``); the losses are the same.
     """
     indices = np.asarray(batch.indices)
     out = [np.empty(0)] * len(batch.lengths)
     for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, training,
                                            dropout_rate, dropout_rng):
         for j, (row, t) in enumerate(zip(rows, lengths)):
-            out[row], score_backward = _row_loss(params, ys[j, :t], indices[row, 1:t + 1])
+            out[row], score_backward = _row_loss(params, ys[j, :t], indices[row, 1:t + 1], weight is not None)
             if weight is not None:
                 d_ys[j, :t] = score_backward(weight)
         del ys, d_ys, score_backward  # _chunks runs the next chunk without this one's arrays
@@ -433,10 +461,11 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
 def batch_scores(params: ModelParams, batch):
     """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of a padded ``Batch``
     with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row order, one (t, N) block
-    at a time, whose row i scores the next node after the first i+1 nodes."""
+    at a time, whose row i scores the next node after the first i+1 nodes.  Scoring takes the
+    gradient-free path of ``_score_rows``: no factor index, and the max is scaled once."""
     for rows, lengths, ys, _ in _chunks(params, batch, grad=False):
         for j, (row, t) in enumerate(zip(rows, lengths)):
-            yield int(row), _score_rows(params, ys[j, :t])[0]
+            yield int(row), _score_rows(params, ys[j, :t], grad=False)[0]
 
 
 def forward_cascade(
@@ -463,19 +492,20 @@ def forward_cascade(
 
     c = _forward_block(params, idx[None, :-1], np.array([len(idx) - 1]), gumbel, training,
                        dropout_rate, dropout_rng)
-    steps, score_backward = _row_loss(params, c.ys[0], idx[1:])
+    steps, score_backward = _row_loss(params, c.ys[0], idx[1:], grad=True)
     loss = Tensor(steps.sum(), lambda g: _backward_block(params, c, score_backward(g)[None]))
     return CascadeForward(loss=loss, step_losses=steps)
 
 
 def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -> np.ndarray:
-    """Check ``prefix``, then give the evaluation-mode scores of its prefixes ``rows``."""
+    """Check ``prefix``, then give the evaluation-mode scores of its prefixes ``rows``,
+    through the gradient-free path of ``_score_rows``."""
     idx = np.asarray(prefix, dtype=np.intp)
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
     c = _forward_block(params, idx[None], np.array([len(idx)]), None, False, 0.0, None, rows)
-    return _score_rows(params, c.ys[0])[0]
+    return _score_rows(params, c.ys[0], grad=False)[0]
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -489,8 +519,9 @@ def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
 def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarray:
     """Top-n candidate nodes after ``prefix``, ties broken by ascending index.
 
-    Only the whole prefix is scored (the last row of ``prefix_scores``), and
-    only the nodes that tie with or beat the n-th best score are sorted.
+    Only the whole prefix is scored (the last row of ``prefix_scores``), with
+    no factor index (see ``_score_rows``), and only the nodes that tie with or
+    beat the n-th best score are sorted.
     """
     if n < 0 or n > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")

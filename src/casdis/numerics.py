@@ -213,9 +213,9 @@ def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndar
     )
 
 
-def max_over_axis(x: np.ndarray, axis: int):
+def max_over_axis(x: np.ndarray, axis: int, index: bool = True):
     """Maximum along ``axis`` (removed) and the index of the first maximum
-    (kept as a size-1 axis).
+    (kept as a size-1 axis); with ``index`` false, the maximum alone.
 
     A running elementwise maximum over the K slices along ``axis``: each
     pass reads one whole slice instead of striding along the short axis.
@@ -223,15 +223,17 @@ def max_over_axis(x: np.ndarray, axis: int):
     K = 256).  Ties go to the lowest index, as with ``np.argmax``: a slice
     takes the index only where it is strictly greater, and the index only
     grows.  A NaN makes the maximum NaN, as with ``np.max``; the index is
-    then unspecified.
+    then unspecified.  Only a backward reads the index, so a caller without
+    one skips its pass per slice.
     """
     slices = np.moveaxis(x, axis, 0)
     top = slices[0].copy()
-    best = np.zeros(top.shape, dtype=np.min_scalar_type(len(slices) - 1))
+    best = np.zeros(top.shape, dtype=np.min_scalar_type(len(slices) - 1)) if index else None
     for k in range(1, len(slices)):
-        np.maximum(best, np.multiply(slices[k] > top, k, dtype=best.dtype), out=best)
+        if index:
+            np.maximum(best, np.multiply(slices[k] > top, k, dtype=best.dtype), out=best)
         np.maximum(top, slices[k], out=top)
-    return top, np.expand_dims(best, axis)
+    return (top, np.expand_dims(best, axis)) if index else top
 
 
 def logsumexp(x: np.ndarray) -> np.ndarray:

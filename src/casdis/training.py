@@ -47,8 +47,7 @@ class TrainConfig:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        GumbelConfig(tau=self.tau)  # the factor softmax's checks on tau
         if self.patience < 1 or self.lr_patience < 1:
             raise ValueError(f"patience and lr_patience must be >= 1, got {self.patience}, {self.lr_patience}")
         if not self.clip_norm >= 0:  # also refuses NaN

@@ -232,6 +232,7 @@ def test_flags_refuse_what_config_files_refuse(workspace):
     ("train", "lr", "inf"),
     ("train", "tau", "nan"),
     ("train", "tau", "inf"),
+    ("train", "tau", "1e-308"),
 ], ids=lambda v: v)
 def test_invalid_hyperparameters_exit_before_any_output(workspace, command, flag, value):
     tmp_path, data, _ = workspace

@@ -207,6 +207,33 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
     check_gradients(build, params.parameters(), seed=0.3)
 
 
+@pytest.mark.parametrize("factors", [1, 2, 3, 4])
+@pytest.mark.parametrize("data", ["dyadic", "normal", "nan"])
+def test_scores_without_a_gradient_equal_those_of_the_gradient_path(factors, data):
+    # max-then-scale against scale-then-max: D = 6 makes the scale 1/sqrt(6) round,
+    # dyadic candidates and table tie exactly across factors and nodes, and a NaN
+    # in a candidate or a table row must reach the same scores
+    rng = np.random.default_rng(42 + factors)
+    params = small_params(num_nodes=40, dim=6, factors=factors, seed=42 + factors)
+    if data == "normal":
+        ys = rng.normal(size=(9, factors, 6))
+    else:
+        ys = rng.integers(-2, 3, size=(9, factors, 6)) / 4
+        params.embeddings.data[:] = rng.integers(-2, 3, size=params.embeddings.data.shape) / 4
+    if data == "nan":
+        ys[2, factors - 1, 3] = np.nan
+        params.embeddings.data[5, 0] = np.nan
+    scores, best = md._score_rows(params, ys, True)
+    plain, none = md._score_rows(params, ys, False)
+    assert none is None and best.shape == (9, 1, 40)
+    assert np.array_equal(plain, scores, equal_nan=True)
+    if data == "dyadic":
+        assert (np.diff(np.sort(plain, axis=1), axis=1) == 0).any(axis=1).all()
+    if data == "nan":
+        assert np.isnan(plain[2]).all() and np.isnan(plain[:, 5]).all()
+        assert np.isfinite(np.delete(np.delete(plain, 2, axis=0), 5, axis=1)).all()
+
+
 def _eval_block(params, prefix, rows=slice(None)):
     prefix = np.asarray(prefix)
     return md._forward_block(params, prefix[None], np.array([len(prefix)]), None, False, 0.0, None, rows)
@@ -226,7 +253,7 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     params = small_params(num_nodes=9, dim=4, factors=factors, seed=40 + factors)
     params.prototypes.data[1] = params.prototypes.data[0]
     cache = _eval_block(params, [3, 0, 7, 3, 5, 1])
-    scores, best = md._score_rows(params, cache.ys[0])
+    scores, best = md._score_rows(params, cache.ys[0], True)
     d_scores = np.random.default_rng(41).normal(size=scores.shape)
 
     # reference: the first argmax of the (t, K, N) scores gets the gradient
@@ -383,6 +410,11 @@ def test_batch_without_weight_leaves_gradients_alone():
     losses = _run_batch(params, BATCH_CASCADES, None)
     assert all((p.grad == 0.0).all() for p in params.parameters())
     assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
+    # without a weight, scoring takes the max before the scale and builds no factor
+    # index; the losses are those of a weighted run, bit for bit
+    (batch,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES), pad_index=params.pad_index)
+    plain, weighted = md.batch_loss(params, batch, None), md.batch_loss(params, batch, 0.5)
+    assert all(np.array_equal(a, b) for a, b in zip(plain, weighted))
 
 
 def _assert_matches(params, losses, want_losses, want_grads):
@@ -531,7 +563,7 @@ def test_last_row_scores_equal_the_last_prefix_row():
             full = md.prefix_scores(params, prefix)
             some = rng.permutation(length)[: 1 + length // 2]
             for rows in (slice(-1, None), some):
-                part, _ = md._score_rows(params, _eval_block(params, prefix, rows).ys[0])
+                part, _ = md._score_rows(params, _eval_block(params, prefix, rows).ys[0], False)
                 assert part.shape == full[rows].shape
                 assert np.max(np.abs(part - full[rows])) <= 1e-12 * np.max(np.abs(full[rows]))
 

@@ -30,6 +30,48 @@ def test_configs_refuse_a_learning_rate_or_temperature_that_is_not_finite(build,
         build(value)
 
 
+@pytest.mark.parametrize("build", [lambda v: tr.TrainConfig(tau=v), lambda v: md.GumbelConfig(tau=v)],
+                         ids=["TrainConfig.tau", "GumbelConfig.tau"])
+def test_configs_refuse_a_temperature_that_overflows_the_noisy_factor_logits(build):
+    # a noisy factor logit lies within 1/sqrt(2) + 27.7 of 0; at tau = 1e-308, 1/tau
+    # times it overflows, and the factor softmax made every step loss NaN
+    with pytest.raises(ValueError, match="too small.*float64 range"):
+        build(1e-308)
+
+
+def test_a_tiny_accepted_temperature_keeps_losses_and_gradients_finite():
+    # close above the smallest tau the configs accept; an overflow warning fails the run
+    params = md.init_params(8, 4, 3, RngState(31))
+    gumbel = md.GumbelConfig(tau=4e-307, rng=RngState(32))
+    for cascade in ([0, 3, 1, 5, 7, 2], [6, 4], [2, 2, 0, 1]):
+        params.reset_gradients()
+        out = md.forward_cascade(params, cascade, gumbel, training=True)
+        out.loss.backward()
+        assert np.isfinite(out.step_losses).all()
+        assert all(np.isfinite(p.grad).all() for p in params.parameters())
+
+
+def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
+    # evaluate, predict_topn and validation want no gradient, so none of their
+    # max-over-factor calls asks for the index; a training batch still does
+    indexed, kernel = [], md.max_over_axis
+
+    def spy(*args, **kwargs):
+        indexed.append(kwargs.get("index", args[2] if len(args) > 2 else True))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(md, "max_over_axis", spy)
+    params = md.init_params(9, 4, 3, RngState(33))
+    cascades = [[3, 0, 7, 3, 5], [1, 8], [2, 4, 6, 1]]
+    ev.evaluate(params, cascades)
+    md.predict_topn(params, [3, 0, 7], 4)
+    tr.mean_step_loss(params, cascades)
+    assert len(indexed) == 3 + 1 + 3 and not any(indexed)
+    (batch,) = dt.make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    md.batch_loss(params, batch, 1.0)
+    assert indexed[7:] == [True] * 3
+
+
 def test_library_writes_nothing_to_stdout(capfd, caplog):
     # the benchmark's result is its last stdout line, so casdis prints nothing
     caplog.set_level(logging.INFO)
