@@ -4,8 +4,7 @@ Each prefix of each test cascade is one retrieval query: score all candidate
 nodes, find the rank of the true next node, aggregate hits@N and map@N.  The
 cascade set is scored as one padded batch by ``model.batch_scores``, which wants
 no gradient and so builds no index of each candidate's best factor.  A rank is
-1 plus the count of nodes that score higher; only a prefix where another node
-ties the target also counts the tied nodes of lower index.
+1 plus the count of nodes that score higher or tie the target at a lower index.
 """
 
 from __future__ import annotations
@@ -63,20 +62,15 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
     """Target ranks for every prefix of every cascade, evaluation mode, under the
     tie-break of ``rank_of_target``.  The cascades run uncut as one ``batch_scores`` batch,
-    whose groups and chunks bound the memory; each row's (t, N) block is ranked at once.
-    Only the prefixes where another node ties the target's score count the tied nodes
-    of lower index."""
+    whose groups and chunks bound the memory; each row's (t, N) block is ranked at once."""
     all_ranks: List[int] = []
     longest = max(map(len, cascades), default=0)
     for batch in make_batches(cascades, max(len(cascades), 1), longest, params.pad_index):
         for row, scores in batch_scores(params, batch):
             targets = batch.indices[row, 1:len(scores) + 1]
             own = scores[np.arange(len(targets)), targets][:, None]
-            ranks = 1 + np.count_nonzero(scores > own, axis=1)
-            tied = np.flatnonzero(np.count_nonzero(scores == own, axis=1) > 1)
-            if tied.size:
-                before = np.arange(scores.shape[1]) < targets[tied, None]
-                ranks[tied] += np.count_nonzero((scores[tied] == own[tied]) & before, axis=1)
+            before = np.arange(scores.shape[1]) < targets[:, None]
+            ranks = 1 + np.count_nonzero(scores > own, axis=1) + np.count_nonzero((scores == own) & before, axis=1)
             all_ranks.extend(ranks.tolist())
     return all_ranks
 

@@ -17,10 +17,10 @@ rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, val
 and ``batch_scores`` (evaluation); the B=1 calls run ``_forward_block``, the two parts
 composed.  Tests pin it to a numpy oracle and finite differences.
 
-Scoring (``_score_rows``) takes each candidate's best factor.  Only a call that
-wants a gradient (training, ``forward_cascade``) keeps the index of that factor for
-the backward; evaluation, ``prefix_scores``/``predict_topn`` and validation take the
-max of the unscaled product and scale the (t, N) maximum once, with the same bits.
+Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
+and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
+``forward_cascade``) builds the index of that factor for the backward; evaluation,
+``prefix_scores``/``predict_topn`` and validation build none.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
+    GUMBEL_EPS, Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
     layer_norm_rows_backward, logsumexp, max_over_axis, sigmoid, softmax_rows,
     softmax_rows_backward, unit_rows, unit_rows_backward, weighted_mix,
 )
@@ -56,12 +56,13 @@ class GumbelConfig:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:  # also refuses NaN
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        # a noisy factor logit cos/sqrt(D) + g lies within 1/sqrt(2) + 27.7 of 0 (D >= 2,
-        # and RngState.gumbel clips u to [1e-12, 1 - 1e-12]); the softmax takes 1/tau times
-        # it and subtracts the row's maximum, so twice that bound over tau must be finite
-        if not math.isfinite(1.0 / self.tau * 2.0 * (1.0 / math.sqrt(2.0) + 27.7)):
+        # a noisy factor logit cos/sqrt(D) + g lies within 1 + |g| <= 1 - log(GUMBEL_EPS) of 0;
+        # the softmax takes 1/tau times it and subtracts the row's maximum, so twice that
+        # bound over tau must be finite
+        bound = 1.0 - math.log(GUMBEL_EPS)
+        if not math.isfinite(1.0 / self.tau * 2.0 * bound):
             raise ValueError(f"tau {self.tau} is too small: the Gumbel-noised factor logits lie within "
-                             "1/sqrt(2) + 27.7 of 0, and their spread over tau leaves the float64 range")
+                             f"{bound:.4g} of 0, and their spread over tau leaves the float64 range")
 
 
 _PARAM_NAMES = (
@@ -346,24 +347,18 @@ def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
     candidate by its best factor, and, if ``grad``, the (t, 1, N) index of that
     factor that ``_score_rows_backward`` routes by (else None).
 
-    Only the gradient path builds the index, and it keeps it on the scaled (t, K, N)
-    product: two distinct unscaled values can round to one scaled value, and the
-    first-index tie-break would then route to another factor.  Without a gradient
-    the max runs on the unscaled product and only the (t, N) maximum is scaled.
-    Rounding c*x for c > 0 is monotone, so max_k fl(c x_k) = fl(c max_k x_k) and
-    both paths give the same scores bit for bit, NaN included."""
+    The max over K runs on the unscaled product, and only the (t, N) maximum is
+    scaled by 1/sqrt(D).  Rounding c*x for c > 0 is monotone, so the scores are
+    max_k fl(c x_k) bit for bit, NaN included, without a (t, K, N) scale pass;
+    the index is the first factor of the unscaled maximum."""
     d = params.dim
     table = params.embeddings.data[:params.num_nodes]
     # one GEMM, not dot_rows: the benchmark's tracer sizes a scoring-stage
-    # dot_rows call from its arguments' .data.  Fresh arrays are scaled in place.
+    # dot_rows call from its arguments' .data.  The fresh maximum is scaled in place.
     per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
-    scale = 1.0 / math.sqrt(d)
-    if grad:
-        per_factor *= scale
-        return max_over_axis(per_factor, 1)
-    scores = max_over_axis(per_factor, 1, index=False)
-    scores *= scale
-    return scores, None
+    top, best = max_over_axis(per_factor, 1, index=grad)
+    top *= 1.0 / math.sqrt(d)
+    return top, best
 
 
 def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, d_scores: np.ndarray):
@@ -444,7 +439,7 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
 
     The rows run through ``_chunks``, whose groups and chunks bound the memory; scoring,
     loss and its backward go row by row, so one (t, K, N) block is live.  Without a
-    ``weight``, scoring builds no factor index (see ``_score_rows``); the losses are the same.
+    ``weight``, scoring builds no factor index (see ``_score_rows``).
     """
     indices = np.asarray(batch.indices)
     out = [np.empty(0)] * len(batch.lengths)
@@ -461,8 +456,8 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
 def batch_scores(params: ModelParams, batch):
     """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of a padded ``Batch``
     with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row order, one (t, N) block
-    at a time, whose row i scores the next node after the first i+1 nodes.  Scoring takes the
-    gradient-free path of ``_score_rows``: no factor index, and the max is scaled once."""
+    at a time, whose row i scores the next node after the first i+1 nodes.  Scoring builds no
+    factor index (see ``_score_rows``)."""
     for rows, lengths, ys, _ in _chunks(params, batch, grad=False):
         for j, (row, t) in enumerate(zip(rows, lengths)):
             yield int(row), _score_rows(params, ys[j, :t], grad=False)[0]
@@ -499,7 +494,7 @@ def forward_cascade(
 
 def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -> np.ndarray:
     """Check ``prefix``, then give the evaluation-mode scores of its prefixes ``rows``,
-    through the gradient-free path of ``_score_rows``."""
+    with no factor index (see ``_score_rows``)."""
     idx = np.asarray(prefix, dtype=np.intp)
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")

@@ -23,6 +23,10 @@ import numpy as np
 # (and differentiable almost everywhere) for near-zero vectors.
 NORM_FLOOR = 1e-12
 
+# RngState.gumbel clips its uniforms to [GUMBEL_EPS, 1 - GUMBEL_EPS], so every
+# Gumbel sample lies within -log(GUMBEL_EPS) of 0.
+GUMBEL_EPS = 1e-12
+
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -52,7 +56,7 @@ class RngState:
 
     def gumbel(self, shape) -> np.ndarray:
         """Standard Gumbel samples g = -log(-log(u)), u clipped away from {0, 1}."""
-        u = np.clip(self.uniform(shape), 1e-12, 1.0 - 1e-12)
+        u = np.clip(self.uniform(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
         return -np.log(-np.log(u))
 
     @staticmethod
@@ -215,7 +219,7 @@ def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndar
 
 def max_over_axis(x: np.ndarray, axis: int, index: bool = True):
     """Maximum along ``axis`` (removed) and the index of the first maximum
-    (kept as a size-1 axis); with ``index`` false, the maximum alone.
+    (kept as a size-1 axis); with ``index`` false, the index is None.
 
     A running elementwise maximum over the K slices along ``axis``: each
     pass reads one whole slice instead of striding along the short axis.
@@ -233,7 +237,7 @@ def max_over_axis(x: np.ndarray, axis: int, index: bool = True):
         if index:
             np.maximum(best, np.multiply(slices[k] > top, k, dtype=best.dtype), out=best)
         np.maximum(top, slices[k], out=top)
-    return (top, np.expand_dims(best, axis)) if index else top
+    return top, np.expand_dims(best, axis) if index else None
 
 
 def logsumexp(x: np.ndarray) -> np.ndarray:

@@ -209,10 +209,10 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
 
 @pytest.mark.parametrize("factors", [1, 2, 3, 4])
 @pytest.mark.parametrize("data", ["dyadic", "normal", "nan"])
-def test_scores_without_a_gradient_equal_those_of_the_gradient_path(factors, data):
+def test_scores_equal_the_max_of_the_scaled_product(factors, data):
     # max-then-scale against scale-then-max: D = 6 makes the scale 1/sqrt(6) round,
     # dyadic candidates and table tie exactly across factors and nodes, and a NaN
-    # in a candidate or a table row must reach the same scores
+    # in a candidate or a table row must reach the same scores, with or without the index
     rng = np.random.default_rng(42 + factors)
     params = small_params(num_nodes=40, dim=6, factors=factors, seed=42 + factors)
     if data == "normal":
@@ -223,15 +223,36 @@ def test_scores_without_a_gradient_equal_those_of_the_gradient_path(factors, dat
     if data == "nan":
         ys[2, factors - 1, 3] = np.nan
         params.embeddings.data[5, 0] = np.nan
+    per_factor = (ys.reshape(-1, 6) @ params.embeddings.data[:40].T).reshape(9, factors, 40)
+    want = np.max(per_factor * (1.0 / math.sqrt(6)), axis=1)
     scores, best = md._score_rows(params, ys, True)
     plain, none = md._score_rows(params, ys, False)
     assert none is None and best.shape == (9, 1, 40)
-    assert np.array_equal(plain, scores, equal_nan=True)
+    assert np.array_equal(scores, want, equal_nan=True) and np.array_equal(plain, want, equal_nan=True)
+    real = ~np.isnan(per_factor).any(axis=1)
+    assert np.array_equal(best[:, 0][real], np.argmax(per_factor, axis=1)[real])
     if data == "dyadic":
         assert (np.diff(np.sort(plain, axis=1), axis=1) == 0).any(axis=1).all()
     if data == "nan":
         assert np.isnan(plain[2]).all() and np.isnan(plain[:, 5]).all()
         assert np.isfinite(np.delete(np.delete(plain, 2, axis=0), 5, axis=1)).all()
+
+
+def test_backward_routes_to_the_unscaled_maximum_when_the_scaled_values_tie():
+    # factor 1's product is one ulp above factor 0's, and both round to the same
+    # score once scaled by 1/sqrt(6): the gradient goes to factor 1, the true maximum
+    scale, x = 1.0 / math.sqrt(6), 1.5
+    while scale * x != scale * np.nextafter(x, np.inf):
+        x = np.nextafter(x, np.inf)
+    params = small_params(num_nodes=5, dim=6, factors=2, seed=44)
+    params.embeddings.data[:5] = np.eye(6)[0]
+    ys = np.zeros((3, 2, 6))
+    ys[:, 0, 0], ys[:, 1, 0] = x, np.nextafter(x, np.inf)
+    scores, best = md._score_rows(params, ys, True)
+    assert (scores == scale * x).all() and (best == 1).all()
+    params.reset_gradients()
+    d_ys = md._score_rows_backward(params, ys, best, np.ones(scores.shape))
+    assert (d_ys[:, 0] == 0).all() and (d_ys[:, 1, 0] != 0).all()
 
 
 def _eval_block(params, prefix, rows=slice(None)):
@@ -256,11 +277,10 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     scores, best = md._score_rows(params, cache.ys[0], True)
     d_scores = np.random.default_rng(41).normal(size=scores.shape)
 
-    # reference: the first argmax of the (t, K, N) scores gets the gradient
+    # reference: the first argmax of the (t, K, N) products gets the gradient
     ys = cache.ys[0]
     table = params.embeddings.data[:params.num_nodes]
     per_factor = (ys.reshape(-1, params.dim) @ table.T).reshape(ys.shape[:2] + (-1,))
-    per_factor *= 1.0 / math.sqrt(params.dim)
     assert (per_factor[:, 0] == per_factor[:, 1]).all()
     first = np.expand_dims(np.argmax(per_factor, axis=1), 1)
     assert (first == 0).any() and (first != 1).all()
@@ -410,8 +430,8 @@ def test_batch_without_weight_leaves_gradients_alone():
     losses = _run_batch(params, BATCH_CASCADES, None)
     assert all((p.grad == 0.0).all() for p in params.parameters())
     assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
-    # without a weight, scoring takes the max before the scale and builds no factor
-    # index; the losses are those of a weighted run, bit for bit
+    # without a weight, scoring builds no factor index; the losses are those of a
+    # weighted run, bit for bit
     (batch,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES), pad_index=params.pad_index)
     plain, weighted = md.batch_loss(params, batch, None), md.batch_loss(params, batch, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(plain, weighted))

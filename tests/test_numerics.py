@@ -240,7 +240,7 @@ def test_sigmoid_in_place_gives_the_same_bits():
 
 # ---------------------------------------------------------------------------
 # max over an axis: np.max and the first np.argmax, the index as a size-1 axis;
-# without the index, np.max alone
+# without the index, np.max and None
 
 
 def check_max_over_axis(x, axis, check_index=True):
@@ -248,7 +248,8 @@ def check_max_over_axis(x, axis, check_index=True):
     expect = np.max(x, axis=axis)
     assert top.shape == expect.shape and best.shape == np.expand_dims(expect, axis).shape
     assert np.array_equal(top, expect, equal_nan=True)
-    assert np.array_equal(nm.max_over_axis(x, axis, index=False), expect, equal_nan=True)
+    plain, none = nm.max_over_axis(x, axis, index=False)
+    assert none is None and np.array_equal(plain, expect, equal_nan=True)
     if check_index:
         assert np.array_equal(best.squeeze(axis), np.argmax(x, axis=axis))
     return best

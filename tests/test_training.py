@@ -33,7 +33,7 @@ def test_configs_refuse_a_learning_rate_or_temperature_that_is_not_finite(build,
 @pytest.mark.parametrize("build", [lambda v: tr.TrainConfig(tau=v), lambda v: md.GumbelConfig(tau=v)],
                          ids=["TrainConfig.tau", "GumbelConfig.tau"])
 def test_configs_refuse_a_temperature_that_overflows_the_noisy_factor_logits(build):
-    # a noisy factor logit lies within 1/sqrt(2) + 27.7 of 0; at tau = 1e-308, 1/tau
+    # a noisy factor logit lies within 1 - log(GUMBEL_EPS) of 0; at tau = 1e-308, 1/tau
     # times it overflows, and the factor softmax made every step loss NaN
     with pytest.raises(ValueError, match="too small.*float64 range"):
         build(1e-308)
