@@ -27,6 +27,15 @@ class EvalReport:
     prediction_points: int
 
 
+def _ranks(scores: np.ndarray, targets) -> np.ndarray:
+    """1-based rank of ``targets[i]`` in row i of the (t, N) ``scores``: 1 plus the
+    count of nodes that score higher or tie it at a lower index."""
+    targets = np.asarray(targets)
+    own = scores[np.arange(len(targets)), targets][:, None]
+    before = np.arange(scores.shape[1]) < targets[:, None]
+    return 1 + np.count_nonzero(scores > own, axis=1) + np.count_nonzero((scores == own) & before, axis=1)
+
+
 def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
@@ -34,10 +43,7 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     tgt = int(target)
     if not 0 <= tgt < len(s):
         raise ValueError(f"target {tgt} out of range for {len(s)} scores")
-    st = s[tgt]
-    greater = int((s > st).sum())
-    equal_before = int(((s == st) & (np.arange(len(s)) < tgt)).sum())
-    return 1 + greater + equal_before
+    return int(_ranks(s[None], [tgt])[0])
 
 
 def hits_at_n(ranks: Sequence[int], n: int) -> float:
@@ -67,11 +73,7 @@ def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> Lis
     longest = max(map(len, cascades), default=0)
     for batch in make_batches(cascades, max(len(cascades), 1), longest, params.pad_index):
         for row, scores in batch_scores(params, batch):
-            targets = batch.indices[row, 1:len(scores) + 1]
-            own = scores[np.arange(len(targets)), targets][:, None]
-            before = np.arange(scores.shape[1]) < targets[:, None]
-            ranks = 1 + np.count_nonzero(scores > own, axis=1) + np.count_nonzero((scores == own) & before, axis=1)
-            all_ranks.extend(ranks.tolist())
+            all_ranks.extend(_ranks(scores, batch.indices[row, 1:len(scores) + 1]).tolist())
     return all_ranks
 
 

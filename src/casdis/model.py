@@ -14,8 +14,8 @@ for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), the
 at a time; ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward``
 are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
 rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
-and ``batch_scores`` (evaluation); the B=1 calls run ``_forward_block``, the two parts
-composed.  Tests pin it to a numpy oracle and finite differences.
+and ``batch_scores`` (evaluation); the B=1 calls run ``_recurrence`` and ``_head`` on one
+row themselves.  Tests pin it to a numpy oracle and finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
@@ -117,10 +117,13 @@ class ModelParams:
             p.reset_gradient()
 
     def clone(self) -> "ModelParams":
-        kwargs = dict(num_nodes=self.num_nodes, dim=self.dim, factors=self.factors)
-        for name, p in self.named_parameters():
-            kwargs[name] = Parameter(p.data.copy(), name=name)
-        return ModelParams(**kwargs)
+        return ModelParams.from_arrays(self.num_nodes, self.dim, self.factors,
+                                       {name: p.data.copy() for name, p in self.named_parameters()})
+
+    @staticmethod
+    def from_arrays(num_nodes: int, dim: int, factors: int, arrays) -> "ModelParams":
+        """The model whose parameter ``name`` holds ``arrays[name]``, for each name in ``_PARAM_NAMES``."""
+        return ModelParams(num_nodes, dim, factors, **{name: Parameter(arrays[name], name) for name in _PARAM_NAMES})
 
 
 def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelParams:
@@ -139,9 +142,9 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 
     # prototypes are drawn last so that models differing only in K share
     # bit-identical embedding/GRU/layer-norm initializations per seed
-    embeddings = uni(num_nodes + 1, dim)
-    gru = {name: uni(dim, dim) for name in ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h")}
-    biases = {name: uni(dim) for name in ("b_z", "b_r", "b_h")}
+    arrays = {"embeddings": uni(num_nodes + 1, dim)}
+    arrays.update((name, uni(dim, dim)) for name in ("w_z", "u_z", "w_r", "u_r", "w_h", "u_h"))
+    arrays.update((name, uni(dim)) for name in ("b_z", "b_r", "b_h"))
 
     protos = uni(factors, dim)
     for _ in range(100):
@@ -152,25 +155,8 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
         if bad.size == 0:
             break
         protos[bad[0][0]] = uni(dim)
-
-    return ModelParams(
-        num_nodes=num_nodes,
-        dim=dim,
-        factors=factors,
-        embeddings=Parameter(embeddings, "embeddings"),
-        w_z=Parameter(gru["w_z"], "w_z"),
-        u_z=Parameter(gru["u_z"], "u_z"),
-        b_z=Parameter(biases["b_z"], "b_z"),
-        w_r=Parameter(gru["w_r"], "w_r"),
-        u_r=Parameter(gru["u_r"], "u_r"),
-        b_r=Parameter(biases["b_r"], "b_r"),
-        w_h=Parameter(gru["w_h"], "w_h"),
-        u_h=Parameter(gru["u_h"], "u_h"),
-        b_h=Parameter(biases["b_h"], "b_h"),
-        prototypes=Parameter(protos, "prototypes"),
-        ln_gain=Parameter(np.ones(dim), "ln_gain"),
-        ln_bias=Parameter(np.zeros(dim), "ln_bias"),
-    )
+    arrays.update(prototypes=protos, ln_gain=np.ones(dim), ln_bias=np.zeros(dim))
+    return ModelParams.from_arrays(num_nodes, dim, factors, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +249,6 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     ys, xhat, inv = layer_norm_rows(weighted_mix(attn, factors, hidden), params.ln_gain.data, params.ln_bias.data)
     return SimpleNamespace(hidden=hidden, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
                            factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys)
-
-
-def _forward_block(params, positions, lengths, gumbel, training, dropout_rate, dropout_rng, rows=slice(None)):
-    """``_head`` after ``_recurrence``, with their arguments; the latter's intermediates are ``gru``."""
-    gru = _recurrence(params, positions, lengths, training, dropout_rate, dropout_rng)
-    return SimpleNamespace(**vars(_head(params, gru.hidden, lengths, gumbel, training, rows)), gru=gru)
-
-
-def _backward_block(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> None:
-    """Add the gradient of sum(d_ys * ys) into every grad, for one ``_forward_block`` call ``c``."""
-    _recurrence_backward(params, c.gru, _head_backward(params, c, d_ys))
 
 
 def _head_backward(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> np.ndarray:
@@ -485,10 +460,12 @@ def forward_cascade(
         raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
     _check_indices(params, idx)
 
-    c = _forward_block(params, idx[None, :-1], np.array([len(idx) - 1]), gumbel, training,
-                       dropout_rate, dropout_rng)
+    lengths = np.array([len(idx) - 1])
+    gru = _recurrence(params, idx[None, :-1], lengths, training, dropout_rate, dropout_rng)
+    c = _head(params, gru.hidden, lengths, gumbel, training)
     steps, score_backward = _row_loss(params, c.ys[0], idx[1:], grad=True)
-    loss = Tensor(steps.sum(), lambda g: _backward_block(params, c, score_backward(g)[None]))
+    loss = Tensor(steps.sum(),
+                  lambda g: _recurrence_backward(params, gru, _head_backward(params, c, score_backward(g)[None])))
     return CascadeForward(loss=loss, step_losses=steps)
 
 
@@ -499,8 +476,9 @@ def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
-    c = _forward_block(params, idx[None], np.array([len(idx)]), None, False, 0.0, None, rows)
-    return _score_rows(params, c.ys[0], grad=False)[0]
+    lengths = np.array([len(idx)])
+    hidden = _recurrence(params, idx[None], lengths, False, 0.0, None).hidden
+    return _score_rows(params, _head(params, hidden, lengths, None, False, rows).ys[0], grad=False)[0]
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -619,10 +597,9 @@ def load_checkpoint(path, vocabulary=None):
     size = offset + 8 * sum(math.prod(shape) for _, shape in expected)
     if len(blob) != size:
         raise ValueError(f"{path}: expected {size} bytes, found {len(blob)}")
-    kwargs = dict(num_nodes=num_nodes, dim=dim, factors=factors)
+    arrays = {}
     for name, shape in expected:
         count = math.prod(shape)
-        value = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        kwargs[name] = Parameter(value.astype(np.float64).reshape(shape), name=name)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64).reshape(shape)
         offset += 8 * count
-    return ModelParams(**kwargs), seed
+    return ModelParams.from_arrays(num_nodes, dim, factors, arrays), seed

@@ -27,6 +27,9 @@ NORM_FLOOR = 1e-12
 # Gumbel sample lies within -log(GUMBEL_EPS) of 0.
 GUMBEL_EPS = 1e-12
 
+# layer_norm_rows adds this to each row's variance before the square root.
+LN_EPS = 1e-8
+
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -197,12 +200,12 @@ def weighted_mix(attn: np.ndarray, factors: np.ndarray, hidden: np.ndarray) -> n
     return (attn @ block).reshape(attn.shape[:-1] + (k, -1))
 
 
-def layer_norm_rows(x: np.ndarray, gain, bias, epsilon: float = 1e-8):
+def layer_norm_rows(x: np.ndarray, gain, bias):
     """Normalize the last axis to zero mean and unit population variance,
     then apply the length-D ``gain`` and ``bias``; a constant row maps to
     ``bias``.  Returns the output, the normalized rows and 1/std."""
     mean = x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + epsilon)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
     xhat = (x - mean) * inv
     return xhat * gain + bias, xhat, inv
 

@@ -22,6 +22,11 @@ from .numerics import RngState
 
 log = logging.getLogger(__name__)
 
+# Adam's moment decay rates and the floor added to its step's denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -64,14 +69,11 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators (beta1=0.9, beta2=0.999, eps=1e-8) plus the
+    """Adam accumulators (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``) plus the
     current learning rate."""
 
     lr: float
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -91,15 +93,15 @@ def adam_step(opt: OptimizerState, params: ModelParams, lr: float) -> None:
         if not np.isfinite(p.grad).all():
             raise NonFiniteGradientError(name)
     opt.step += 1
-    c1 = 1.0 - opt.beta1 ** opt.step
-    c2 = 1.0 - opt.beta2 ** opt.step
+    c1 = 1.0 - ADAM_BETA1 ** opt.step
+    c2 = 1.0 - ADAM_BETA2 ** opt.step
     for name, p in params.named_parameters():
         g = p.grad
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
+        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = opt.m[name] / c1
         v_hat = opt.v[name] / c2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.reset_gradients()
 
 

@@ -256,14 +256,16 @@ def test_backward_routes_to_the_unscaled_maximum_when_the_scaled_values_tie():
 
 
 def _eval_block(params, prefix, rows=slice(None)):
-    prefix = np.asarray(prefix)
-    return md._forward_block(params, prefix[None], np.array([len(prefix)]), None, False, 0.0, None, rows)
+    """Evaluation-mode ``_recurrence`` and ``_head`` intermediates of one prefix."""
+    prefix, lengths = np.asarray(prefix), np.array([len(prefix)])
+    gru = md._recurrence(params, prefix[None], lengths, False, 0.0, None)
+    return gru, md._head(params, gru.hidden, lengths, None, False, rows)
 
 
-def _gradients(params, cache, best, d_scores):
+def _gradients(params, gru, head, best, d_scores):
     params.reset_gradients()
-    d_ys = md._score_rows_backward(params, cache.ys[0], best, d_scores)
-    md._backward_block(params, cache, d_ys[None])
+    d_ys = md._score_rows_backward(params, head.ys[0], best, d_scores)
+    md._recurrence_backward(params, gru, md._head_backward(params, head, d_ys[None]))
     return [p.grad.copy() for p in params.parameters()]
 
 
@@ -273,12 +275,12 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     # candidate exactly alike, so finite differences cannot pin the routing
     params = small_params(num_nodes=9, dim=4, factors=factors, seed=40 + factors)
     params.prototypes.data[1] = params.prototypes.data[0]
-    cache = _eval_block(params, [3, 0, 7, 3, 5, 1])
-    scores, best = md._score_rows(params, cache.ys[0], True)
+    gru, head = _eval_block(params, [3, 0, 7, 3, 5, 1])
+    scores, best = md._score_rows(params, head.ys[0], True)
     d_scores = np.random.default_rng(41).normal(size=scores.shape)
 
     # reference: the first argmax of the (t, K, N) products gets the gradient
-    ys = cache.ys[0]
+    ys = head.ys[0]
     table = params.embeddings.data[:params.num_nodes]
     per_factor = (ys.reshape(-1, params.dim) @ table.T).reshape(ys.shape[:2] + (-1,))
     assert (per_factor[:, 0] == per_factor[:, 1]).all()
@@ -289,10 +291,10 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     # each factor's share of that routing, pushed through the backward on its own
     expect = [np.zeros_like(p.data) for p in params.parameters()]
     for k in range(factors):
-        for total, grad in zip(expect, _gradients(params, cache, np.full_like(best, k), d_pf[:, k])):
+        for total, grad in zip(expect, _gradients(params, gru, head, np.full_like(best, k), d_pf[:, k])):
             total += grad
 
-    for p, got, want in zip(params.parameters(), _gradients(params, cache, best, d_scores), expect):
+    for p, got, want in zip(params.parameters(), _gradients(params, gru, head, best, d_scores), expect):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), p.name
 
 
@@ -583,7 +585,7 @@ def test_last_row_scores_equal_the_last_prefix_row():
             full = md.prefix_scores(params, prefix)
             some = rng.permutation(length)[: 1 + length // 2]
             for rows in (slice(-1, None), some):
-                part, _ = md._score_rows(params, _eval_block(params, prefix, rows).ys[0], False)
+                part, _ = md._score_rows(params, _eval_block(params, prefix, rows)[1].ys[0], False)
                 assert part.shape == full[rows].shape
                 assert np.max(np.abs(part - full[rows])) <= 1e-12 * np.max(np.abs(full[rows]))
 
@@ -650,6 +652,16 @@ def test_init_prototypes_not_parallel():
         assert np.abs(cos).max() <= 0.99
 
 
+def test_init_draws_prototypes_last():
+    # models that differ only in K share every other initial parameter bit for bit
+    models = [md.init_params(9, 6, factors, RngState(3)) for factors in (1, 2, 4)]
+    for name, p in models[0].named_parameters():
+        if name != "prototypes":
+            for other in models[1:]:
+                assert np.array_equal(p.data, getattr(other, name).data), name
+    assert [m.prototypes.data.shape for m in models] == [(1, 6), (2, 6), (4, 6)]
+
+
 def test_init_validations():
     with pytest.raises(ValueError):
         md.init_params(0, 4, 2, RngState(0))
@@ -675,6 +687,25 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     before = md.forward_cascade(params, [0, 3, 6]).loss.data
     after = md.forward_cascade(loaded, [0, 3, 6]).loss.data
     assert float(before) == float(after)
+
+
+def test_clone_and_loaded_checkpoint_own_writable_copies(tmp_path):
+    params = small_params(num_nodes=7, dim=6, factors=2, seed=26)
+    source = [p.data.copy() for p in params.parameters()]
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, params, seed=4)
+    stored = path.read_bytes()
+    for copy in (params.clone(), md.load_checkpoint(path)[0]):
+        for (name, p), want in zip(copy.named_parameters(), source):
+            assert p.data.flags.writeable and p.name == name
+            assert np.array_equal(p.data, want), name
+            p.data += 1.0
+            p.grad += 1.0
+        for p, want in zip(params.parameters(), source):
+            assert np.array_equal(p.data, want) and not p.grad.any(), p.name
+    assert path.read_bytes() == stored
+    for p, want in zip(md.load_checkpoint(path)[0].parameters(), source):
+        assert np.array_equal(p.data, want), p.name
 
 
 def test_checkpoint_writes_are_byte_identical(tmp_path):
