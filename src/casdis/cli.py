@@ -23,7 +23,7 @@ from .data import (
     split_dataset,
     write_synthetic,
 )
-from .evaluation import evaluate, format_report, report_csv_lines
+from .evaluation import DEFAULT_N_VALUES, evaluate, format_report, report_csv_lines
 from .model import load_checkpoint, save_checkpoint
 from .numerics import RngState
 from .training import TrainConfig, train, write_train_log
@@ -37,41 +37,54 @@ EXIT_TRAINING = 6       # run aborted (divergence, nan gradients)
 
 log = logging.getLogger(__name__)
 
+_ALL = ("train", "eval", "ablate", "synth")
 _FIT = ("train", "ablate")
 _MODEL = ("train", "eval", "ablate")
+_ON_OFF = ("on", "off")  # a bool field as keys spell it
 
 
 class Option(NamedTuple):
     """One key, settable as ``--name`` (underscores as dashes) by the listed
-    subcommands and as ``name=value`` in any config file."""
+    subcommands and as ``name=value`` in any config file.  A key with a
+    ``field`` sets that ``TrainConfig`` field."""
 
     name: str
     type: type
     default: object = None      # None: unset unless given
-    commands: Tuple[str, ...] = ("train", "eval", "ablate", "synth")
+    commands: Tuple[str, ...] = _ALL
     choices: Optional[Tuple[str, ...]] = None
     help: Optional[str] = None
+    field: Optional[str] = None
+
+
+def _train_option(name: str, field: str, commands: Tuple[str, ...] = _FIT) -> Option:
+    """The key ``name`` for the ``TrainConfig`` field ``field``, with that
+    field's type and default; a bool field is spelled on/off."""
+    default = getattr(TrainConfig, field)
+    if isinstance(default, bool):
+        return Option(name, str, _ON_OFF[not default], commands, _ON_OFF, field=field)
+    return Option(name, type(default), default, commands, field=field)
 
 
 OPTIONS = (
     Option("out", str, help="output directory"),
-    Option("seed", int, 1),
+    _train_option("seed", "seed", _ALL),
     Option("data", str, commands=_MODEL, help="cascade file"),
     Option("checkpoint", str, commands=("eval",)),
-    Option("k", int, 4, _MODEL),
-    Option("d", int, 64, _MODEL),
-    Option("lr", float, 0.005, _FIT),
-    Option("batch_size", int, 32, _FIT),
-    Option("epochs", int, 50, _FIT),
-    Option("tau", float, 1.0, _FIT),
-    Option("gumbel", str, "on", _FIT, choices=("on", "off")),
-    Option("dropout", float, 1e-4, _FIT),
-    Option("max_len", int, 200, _FIT),
-    Option("patience", int, 5, _FIT),
-    Option("lr_patience", int, 2, _FIT),
-    Option("lr_decay", float, 0.5, _FIT),
-    Option("clip_norm", float, 5.0, _FIT),
-    Option("n_list", str, "10,50,100", ("eval", "ablate")),
+    _train_option("k", "k", _MODEL),
+    _train_option("d", "d", _MODEL),
+    _train_option("lr", "lr_init"),
+    _train_option("batch_size", "batch_size"),
+    _train_option("epochs", "max_epochs"),
+    _train_option("tau", "tau"),
+    _train_option("gumbel", "gumbel_enabled"),
+    _train_option("dropout", "dropout_rate"),
+    _train_option("max_len", "max_len"),
+    _train_option("patience", "patience"),
+    _train_option("lr_patience", "lr_patience"),
+    _train_option("lr_decay", "lr_decay_factor"),
+    _train_option("clip_norm", "clip_norm"),
+    Option("n_list", str, ",".join(map(str, DEFAULT_N_VALUES)), ("eval", "ablate")),
     Option("k_list", str, commands=("ablate",)),
     Option("d_list", str, commands=("ablate",)),
     Option("communities", int, 2, ("synth",)),
@@ -166,23 +179,10 @@ def _read_data(config: dict):
 def _train_config(config: dict) -> TrainConfig:
     """The training hyperparameters of ``config``; a value out of range is a
     usage error."""
+    fields = {o.field: config[o.name] == "on" if o.choices == _ON_OFF else config[o.name]
+              for o in OPTIONS if o.field}
     try:
-        return TrainConfig(
-            lr_init=config["lr"],
-            batch_size=config["batch_size"],
-            max_epochs=config["epochs"],
-            patience=config["patience"],
-            lr_decay_factor=config["lr_decay"],
-            lr_patience=config["lr_patience"],
-            dropout_rate=config["dropout"],
-            tau=config["tau"],
-            gumbel_enabled=config["gumbel"] == "on",
-            seed=config["seed"],
-            k=config["k"],
-            d=config["d"],
-            max_len=config["max_len"],
-            clip_norm=config["clip_norm"],
-        )
+        return TrainConfig(**fields)
     except ValueError as err:
         raise CliError(EXIT_USAGE, f"invalid hyperparameters: {err}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -19,18 +20,19 @@ from .numerics import RngState
 log = logging.getLogger(__name__)
 
 MAX_CASCADE_LEN = 200  # default truncation; typical cascades are far shorter
+PAD = -1  # fills a Batch row past its cascade; no node has this index
 
 
 @dataclass
 class Vocabulary:
-    """Bijection between raw string node ids and dense indices [0, N)."""
+    """Bijection between raw string node ids and dense indices [0, N):
+    ``index`` maps ``ids[i]`` to i."""
 
     ids: List[str]
-    index: Dict[str, int] = field(default_factory=dict)
+    index: Dict[str, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {v: i for i, v in enumerate(self.ids)}
+        self.index = dict(zip(self.ids, range(len(self.ids))))
 
     @property
     def size(self) -> int:
@@ -78,14 +80,9 @@ def parse_cascades(lines: Iterable[str], dedupe: bool = False) -> ParsedCascades
     if dropped:
         log.warning("dropped %d cascade(s) shorter than 2 nodes", dropped)
 
-    ids: List[str] = []
-    index: Dict[str, int] = {}
-    for tokens in raw_cascades:
-        for tok in tokens:
-            if tok not in index:
-                index[tok] = len(ids)
-                ids.append(tok)
-    vocab = Vocabulary(ids=ids, index=index)
+    # ids in order of first appearance
+    vocab = Vocabulary(list(dict.fromkeys(chain.from_iterable(raw_cascades))))
+    index = vocab.index
     cascades = [[index[t] for t in tokens] for tokens in raw_cascades]
     return ParsedCascades(cascades=cascades, vocabulary=vocab, dropped_short=dropped)
 
@@ -125,30 +122,24 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
 @dataclass
 class Batch:
     """Padded index block: row b holds a cascade in its first ``lengths[b]``
-    entries, then the pad index, which must never reach the loss or the attention."""
+    entries, then ``PAD``.  The model reads only the real entries: it re-pads each
+    row with its own padding slot, so any fill value gives the same bits."""
 
     indices: np.ndarray   # (B, L) int
     lengths: np.ndarray   # (B,) true lengths
 
 
-def make_batches(
-    cascades: Sequence[Sequence[int]],
-    batch_size: int,
-    max_len: int = MAX_CASCADE_LEN,
-    pad_index: int = None,
-) -> List[Batch]:
+def make_batches(cascades: Sequence[Sequence[int]], batch_size: int, max_len: int = MAX_CASCADE_LEN) -> List[Batch]:
     """Group cascades in order into batches, truncating to the first
-    ``max_len`` nodes and padding to the longest member."""
+    ``max_len`` nodes and padding with ``PAD`` to the longest member."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if pad_index is None:
-        pad_index = max((max(c) for c in cascades if len(c)), default=-1) + 1
     batches = []
     for start in range(0, len(cascades), batch_size):
         chunk = [list(c[:max_len]) for c in cascades[start:start + batch_size]]
         lengths = np.array([len(c) for c in chunk], dtype=np.intp)
         width = int(lengths.max()) if len(chunk) else 0
-        indices = np.full((len(chunk), width), pad_index, dtype=np.intp)
+        indices = np.full((len(chunk), width), PAD, dtype=np.intp)
         for row, c in enumerate(chunk):
             indices[row, : len(c)] = c
         batches.append(Batch(indices=indices, lengths=lengths))

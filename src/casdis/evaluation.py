@@ -71,7 +71,7 @@ def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> Lis
     whose groups and chunks bound the memory; each row's (t, N) block is ranked at once."""
     all_ranks: List[int] = []
     longest = max(map(len, cascades), default=0)
-    for batch in make_batches(cascades, max(len(cascades), 1), longest, params.pad_index):
+    for batch in make_batches(cascades, max(len(cascades), 1), longest):
         for row, scores in batch_scores(params, batch):
             all_ranks.extend(_ranks(scores, batch.indices[row, 1:len(scores) + 1]).tolist())
     return all_ranks
@@ -96,20 +96,20 @@ def evaluate(
     )
 
 
+def _report_rows(report: EvalReport):
+    """(metric, N, value) of every hits@N by ascending N, then of every map@N."""
+    return [(metric, n, values[n]) for metric, values in (("hits", report.hits), ("map", report.maps))
+            for n in sorted(values)]
+
+
 def format_report(report: EvalReport) -> str:
+    points = report.prediction_points
     lines = [f"{'metric':<8}{'N':>6}{'value':>12}{'points':>10}"]
-    for n in sorted(report.hits):
-        lines.append(f"{'hits':<8}{n:>6}{report.hits[n]:>12.4f}{report.prediction_points:>10}")
-    for n in sorted(report.maps):
-        lines.append(f"{'map':<8}{n:>6}{report.maps[n]:>12.4f}{report.prediction_points:>10}")
+    lines += [f"{metric:<8}{n:>6}{value:>12.4f}{points:>10}" for metric, n, value in _report_rows(report)]
     return "\n".join(lines)
 
 
 def report_csv_lines(report: EvalReport) -> List[str]:
     """Machine-readable rows: metric,N,value,points."""
-    lines = ["metric,N,value,points"]
-    for n in sorted(report.hits):
-        lines.append(f"hits,{n},{report.hits[n]:.10f},{report.prediction_points}")
-    for n in sorted(report.maps):
-        lines.append(f"map,{n},{report.maps[n]:.10f},{report.prediction_points}")
-    return lines
+    return ["metric,N,value,points"] + [f"{metric},{n},{value:.10f},{report.prediction_points}"
+                                        for metric, n, value in _report_rows(report)]

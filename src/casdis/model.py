@@ -15,7 +15,11 @@ at a time; ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backwa
 are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
 rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
 and ``batch_scores`` (evaluation); the B=1 calls run ``_recurrence`` and ``_head`` on one
-row themselves.  Tests pin it to a numpy oracle and finite differences.
+row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
+``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training``
+switch, which turns both off.  ``_chunks`` reads only a ``Batch``'s real entries and
+pads with the table's own padding row.  Tests pin the model to a numpy oracle and
+finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
@@ -182,17 +186,18 @@ class CascadeForward:
     step_losses: np.ndarray      # (t,)
 
 
-def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, training: bool,
-                dropout_rate: float, dropout_rng: Optional[RngState]):
+def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, dropout_rate: float,
+                dropout_rng: Optional[RngState]):
     """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades.
     Row b of the (B, L) ``positions`` holds a cascade in its first ``lengths[b]``
     entries, then padding, so a padded step never feeds a real one.  Dropout
-    masks are drawn one cascade at a time, in row order.  The update and reset
-    gates live in one (B, L, 2D) block; the returned ``z`` and ``r`` are its halves."""
+    runs iff ``dropout_rate > 0``, its masks drawn one cascade at a time, in row
+    order.  The update and reset gates live in one (B, L, 2D) block; the returned
+    ``z`` and ``r`` are its halves."""
     (b, width), d = positions.shape, params.dim
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
-    if training and dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("dropout requested but no rng given")
         keep = np.zeros((b, width, d), dtype=bool)
@@ -219,11 +224,11 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
 
 
 def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: Optional[GumbelConfig],
-          training: bool, rows=slice(None)):
+          rows=slice(None)):
     """Attention, factors, weighted mix and layer norm on the GRU states of B
     cascades: ``ys[b, t]`` (B, L, K, D) is for the prefix of length t+1.  Gumbel
-    noise is drawn one cascade at a time, in row order; attention sees the real
-    keys i <= t.  ``rows`` (a slice or index array over the L positions) limits
+    noise runs iff ``gumbel`` is given, drawn one cascade at a time, in row order;
+    attention sees the real keys i <= t.  ``rows`` (a slice or index array over the L positions) limits
     attention, mix and layer norm to those prefixes, and then has no backward."""
     width, d = hidden.shape[1], params.dim
     scale = 1.0 / math.sqrt(d)
@@ -233,7 +238,7 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     unit_h, norm_h = unit_rows(hidden)
     unit_p, norm_p = unit_rows(params.prototypes.data)
     cos = dot_rows(unit_h, unit_p)
-    if training and gumbel is not None:
+    if gumbel is not None:
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
         # the noise is drawn here and held fixed in the backward
@@ -372,8 +377,8 @@ def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
         )
 
 
-def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, training: bool = False,
-            dropout_rate: float = 0.0, dropout_rng: Optional[RngState] = None):
+def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, dropout_rate: float = 0.0,
+            dropout_rng: Optional[RngState] = None):
     """Run each row of a padded ``Batch`` with t >= 1 prediction points on its first t nodes, the recurrence
     per group of rows (``_GROUP_ELEMENTS``), the head per chunk of a group (``_CHUNK_ELEMENTS``).  Yields each
     chunk's rows, their t, its candidate states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill;
@@ -389,12 +394,12 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
         lengths = points[group]
         span = int(lengths.max())
         positions = np.where(np.arange(span) < lengths[:, None], indices[group, :span], params.pad_index)
-        g = _recurrence(params, positions, lengths, training, dropout_rate, dropout_rng)
+        g = _recurrence(params, positions, lengths, dropout_rate, dropout_rng)
         d_hidden = np.zeros(g.hidden.shape) if grad else None
         for first in range(0, len(group), per_chunk):
             sel = slice(first, first + per_chunk)
             reach = int(lengths[sel].max())
-            c = _head(params, g.hidden[sel, :reach], lengths[sel], gumbel, training)
+            c = _head(params, g.hidden[sel, :reach], lengths[sel], gumbel)
             d_ys = np.zeros(c.ys.shape) if grad else None
             yield group[sel], lengths[sel], c.ys, d_ys
             if grad:
@@ -406,11 +411,11 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
 
 
 def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
-               training: bool = False, dropout_rate: float = 0.0,
-               dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
+               dropout_rate: float = 0.0, dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
     """Step losses of every cascade of a padded ``Batch``, one array per row
     (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
     their sum into every ``Parameter.grad``; ``None`` computes no gradient.
+    Gumbel noise runs iff ``gumbel`` is given, dropout iff ``dropout_rate > 0``.
 
     The rows run through ``_chunks``, whose groups and chunks bound the memory; scoring,
     loss and its backward go row by row, so one (t, K, N) block is live.  Without a
@@ -418,8 +423,7 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
     """
     indices = np.asarray(batch.indices)
     out = [np.empty(0)] * len(batch.lengths)
-    for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, training,
-                                           dropout_rate, dropout_rng):
+    for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, dropout_rate, dropout_rng):
         for j, (row, t) in enumerate(zip(rows, lengths)):
             out[row], score_backward = _row_loss(params, ys[j, :t], indices[row, 1:t + 1], weight is not None)
             if weight is not None:
@@ -450,9 +454,12 @@ def forward_cascade(
     batch pipeline, with the backward deferred to ``loss.backward``.
 
     For each prefix length t = 1..len-1 the model is asked for node t+1; the
-    returned loss is the sum of the per-step losses.  Raises
+    returned loss is the sum of the per-step losses.  Without ``training``,
+    ``gumbel`` and ``dropout_rate`` are ignored.  Raises
     DegenerateCascadeError for cascades with no prediction point.
     """
+    if not training:
+        gumbel, dropout_rate = None, 0.0
     idx = np.asarray(cascade, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("cascade must be a flat sequence of node indices")
@@ -461,8 +468,8 @@ def forward_cascade(
     _check_indices(params, idx)
 
     lengths = np.array([len(idx) - 1])
-    gru = _recurrence(params, idx[None, :-1], lengths, training, dropout_rate, dropout_rng)
-    c = _head(params, gru.hidden, lengths, gumbel, training)
+    gru = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)
+    c = _head(params, gru.hidden, lengths, gumbel)
     steps, score_backward = _row_loss(params, c.ys[0], idx[1:], grad=True)
     loss = Tensor(steps.sum(),
                   lambda g: _recurrence_backward(params, gru, _head_backward(params, c, score_backward(g)[None])))
@@ -477,8 +484,8 @@ def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -
         raise ValueError("prefix must contain at least one node")
     _check_indices(params, idx)
     lengths = np.array([len(idx)])
-    hidden = _recurrence(params, idx[None], lengths, False, 0.0, None).hidden
-    return _score_rows(params, _head(params, hidden, lengths, None, False, rows).ys[0], grad=False)[0]
+    hidden = _recurrence(params, idx[None], lengths, 0.0, None).hidden
+    return _score_rows(params, _head(params, hidden, lengths, None, rows).ys[0], grad=False)[0]
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:
@@ -558,8 +565,8 @@ def load_checkpoint(path, vocabulary=None):
 
     Anything but an intact checkpoint raises ValueError: a wrong magic
     (format 1 included), truncation, a malformed header, tensors renamed or
-    shaped other than ``num_nodes``/``dim``/``factors`` imply, or trailing
-    bytes.  So does a ``vocabulary`` whose digest differs from the stored
+    shaped other than ``num_nodes``/``dim``/``factors`` imply, trailing
+    bytes, or a NaN or infinite parameter.  So does a ``vocabulary`` whose digest differs from the stored
     one; either side may be absent, and then nothing is compared.
     """
     with open(path, "rb") as fh:
@@ -602,4 +609,6 @@ def load_checkpoint(path, vocabulary=None):
         count = math.prod(shape)
         arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64).reshape(shape)
         offset += 8 * count
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: parameter {name} holds a NaN or infinite value")
     return ModelParams.from_arrays(num_nodes, dim, factors, arrays), seed

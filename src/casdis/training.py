@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .data import DatasetSplit, make_batches
+from .data import MAX_CASCADE_LEN, DatasetSplit, make_batches
 from .model import GumbelConfig, ModelParams, batch_loss, init_params
 from .numerics import RngState
 
@@ -37,12 +37,12 @@ class TrainConfig:
     lr_decay_factor: float = 0.5
     lr_patience: int = 2
     dropout_rate: float = 1e-4
-    tau: float = 1.0
+    tau: float = GumbelConfig.tau
     gumbel_enabled: bool = True
     seed: int = 1
     k: int = 4
     d: int = 64
-    max_len: int = 200
+    max_len: int = MAX_CASCADE_LEN
     clip_norm: float = 5.0
 
     def __post_init__(self):
@@ -86,8 +86,8 @@ class OptimizerState:
         return state
 
 
-def adam_step(opt: OptimizerState, params: ModelParams, lr: float) -> None:
-    """One bias-corrected Adam update from the accumulated gradients;
+def adam_step(opt: OptimizerState, params: ModelParams) -> None:
+    """One bias-corrected Adam update at ``opt.lr`` from the accumulated gradients;
     gradients are reset afterwards."""
     for name, p in params.named_parameters():
         if not np.isfinite(p.grad).all():
@@ -101,7 +101,7 @@ def adam_step(opt: OptimizerState, params: ModelParams, lr: float) -> None:
         opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
         m_hat = opt.m[name] / c1
         v_hat = opt.v[name] / c2
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     params.reset_gradients()
 
 
@@ -132,15 +132,11 @@ class TrainResult:
     stopped: str                 # "max_epochs" | "early_stop" | "diverged" | "nan_gradient:<name>"
 
 
-def mean_step_loss(
-    params: ModelParams,
-    cascades,
-    max_len: int = 200,
-) -> float:
+def mean_step_loss(params: ModelParams, cascades, max_len: int = MAX_CASCADE_LEN) -> float:
     """Evaluation-mode loss per step (no noise, no dropout) of every cascade cut to
     ``max_len`` nodes, as one ``batch_loss`` batch, whose groups and chunks bound the memory."""
     cascades, total, steps = list(cascades), 0.0, 0
-    for batch in make_batches(cascades, max(len(cascades), 1), max_len, params.pad_index):
+    for batch in make_batches(cascades, max(len(cascades), 1), max_len):
         for losses in batch_loss(params, batch, None):
             total += float(losses.sum())
             steps += len(losses)
@@ -180,23 +176,20 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(split.train))
         ordered = [split.train[i] for i in order]
-        batches = make_batches(ordered, config.batch_size, config.max_len, pad_index=num_nodes)
+        batches = make_batches(ordered, config.batch_size, config.max_len)
 
         loss_sum, step_count = 0.0, 0
         nan_param = None
         for batch in batches:
-            params.reset_gradients()
             batch_steps = int(sum(max(l - 1, 0) for l in batch.lengths))
             if batch_steps == 0:
                 continue
-            for losses in batch_loss(
-                params, batch, 1.0 / batch_steps, gumbel, True, config.dropout_rate, dropout_rng
-            ):
+            for losses in batch_loss(params, batch, 1.0 / batch_steps, gumbel, config.dropout_rate, dropout_rng):
                 loss_sum += float(losses.sum())
                 step_count += len(losses)
             clip_gradients(params, config.clip_norm)
             try:
-                adam_step(opt, params, opt.lr)
+                adam_step(opt, params)
             except NonFiniteGradientError as err:
                 nan_param = err.param_name
                 break

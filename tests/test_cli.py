@@ -8,7 +8,9 @@ import pytest
 from casdis import cli
 from casdis import data as dt
 from casdis import model as md
+from casdis.evaluation import DEFAULT_N_VALUES
 from casdis.numerics import RngState
+from casdis.training import TrainConfig
 
 NUM_NODES = 12
 
@@ -123,6 +125,9 @@ CORRUPTIONS = {
     "numeric_vocabulary_digest": lambda blob: _rewrite_header(blob, _numeric_digest),
     "trailing_bytes": lambda blob: blob + b"\0" * 8,
     "cut_inside_a_tensor": lambda blob: blob[:-4],
+    # the last float of the last tensor, ln_bias
+    "nan_parameter": lambda blob: blob[:-8] + struct.pack("<d", math.nan),
+    "inf_parameter": lambda blob: blob[:-8] + struct.pack("<d", -math.inf),
 }
 # a checkpoint with 13 tensors has 16 such cuts
 CORRUPTIONS.update(
@@ -256,3 +261,9 @@ def test_clip_norm_zero_still_means_no_clipping(workspace):
             "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     assert "clip_norm=0.0" in (out / "config.resolved").read_text().splitlines()
+
+
+def test_option_defaults_are_the_library_defaults():
+    # every training key takes its default from TrainConfig, and --n-list from evaluate
+    assert cli._train_config(cli.DEFAULTS) == TrainConfig()
+    assert cli._int_list(cli.DEFAULTS["n_list"], "--n-list") == DEFAULT_N_VALUES

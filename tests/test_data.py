@@ -108,38 +108,38 @@ def _pad_mask(batch):
 
 
 def test_batches_single_cascade():
-    (batch,) = dt.make_batches([[3, 1, 2]], batch_size=1, pad_index=5)
+    (batch,) = dt.make_batches([[3, 1, 2]], batch_size=1)
     assert batch.indices.shape == (1, 3)
     assert not _pad_mask(batch).any()
     assert batch.lengths.tolist() == [3]
 
 
 def test_batches_padding():
-    (batch,) = dt.make_batches([[1, 2, 3], [4, 5, 6, 7, 8]], batch_size=2, pad_index=9)
+    (batch,) = dt.make_batches([[1, 2, 3], [4, 5, 6, 7, 8]], batch_size=2)
     assert batch.indices.shape == (2, 5)
     assert _pad_mask(batch)[0].tolist() == [False, False, False, True, True]
-    assert (batch.indices[0, 3:] == 9).all()
+    assert (batch.indices[0, 3:] == dt.PAD).all()
     assert batch.indices[0, :batch.lengths[0]].tolist() == [1, 2, 3]
 
 
 def test_batches_ceiling_division():
-    batches = dt.make_batches([[0, 1]] * 7, batch_size=3, pad_index=2)
+    batches = dt.make_batches([[0, 1]] * 7, batch_size=3)
     assert [len(b.lengths) for b in batches] == [3, 3, 1]
 
 
 def test_batches_truncate_to_max_len():
-    (batch,) = dt.make_batches([list(range(10))], batch_size=1, max_len=4, pad_index=10)
+    (batch,) = dt.make_batches([list(range(10))], batch_size=1, max_len=4)
     assert batch.indices[0, :batch.lengths[0]].tolist() == [0, 1, 2, 3]
 
 
 def test_batch_indices_in_range_or_pad():
     rng = np.random.default_rng(0)
     cascades = [rng.integers(0, 20, size=rng.integers(2, 9)).tolist() for _ in range(13)]
-    for batch in dt.make_batches(cascades, batch_size=4, pad_index=20):
+    for batch in dt.make_batches(cascades, batch_size=4):
         pad = _pad_mask(batch)
         real = batch.indices[~pad]
         assert (real < 20).all() and (real >= 0).all()
-        assert (batch.indices[pad] == 20).all()
+        assert (batch.indices[pad] == dt.PAD).all()
 
 
 def test_batches_reject_bad_size():

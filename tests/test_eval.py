@@ -165,7 +165,7 @@ def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkey
 def test_batch_scores_yields_live_rows_in_order():
     params = md.init_params(12, 4, 2, RngState(30))
     cascades = [[4, 1, 2], [3], [], [0, 5, 2, 6, 11], [7, 1], [9]]
-    (batch,) = dt.make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    (batch,) = dt.make_batches(cascades, len(cascades))
     got = list(md.batch_scores(params, batch))
     assert [row for row, _ in got] == [0, 3, 4]
     for row, scores in got:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casdis import model as md
-from casdis.data import make_batches
+from casdis.data import Batch, make_batches
 from casdis.numerics import RngState, finite_difference_gradient, sigmoid
 
 from test_numerics import max_rel_err
@@ -258,8 +258,8 @@ def test_backward_routes_to_the_unscaled_maximum_when_the_scaled_values_tie():
 def _eval_block(params, prefix, rows=slice(None)):
     """Evaluation-mode ``_recurrence`` and ``_head`` intermediates of one prefix."""
     prefix, lengths = np.asarray(prefix), np.array([len(prefix)])
-    gru = md._recurrence(params, prefix[None], lengths, False, 0.0, None)
-    return gru, md._head(params, gru.hidden, lengths, None, False, rows)
+    gru = md._recurrence(params, prefix[None], lengths, 0.0, None)
+    return gru, md._head(params, gru.hidden, lengths, None, rows)
 
 
 def _gradients(params, gru, head, best, d_scores):
@@ -393,9 +393,9 @@ def _batch_params(factors=2):
 
 def _run_batch(params, cascades, weight):
     """``batch_loss`` over ``cascades`` as one batch, Gumbel noise and dropout on."""
-    (batch,) = make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    (batch,) = make_batches(cascades, len(cascades))
     gumbel = md.GumbelConfig(tau=0.8, rng=RngState(6))
-    return md.batch_loss(params, batch, weight, gumbel, True, 0.3, RngState(7))
+    return md.batch_loss(params, batch, weight, gumbel, 0.3, RngState(7))
 
 
 @pytest.mark.parametrize("factors", [1, 3])
@@ -434,9 +434,29 @@ def test_batch_without_weight_leaves_gradients_alone():
     assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
     # without a weight, scoring builds no factor index; the losses are those of a
     # weighted run, bit for bit
-    (batch,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES), pad_index=params.pad_index)
+    (batch,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
     plain, weighted = md.batch_loss(params, batch, None), md.batch_loss(params, batch, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(plain, weighted))
+
+
+@pytest.mark.parametrize("past", [5, -8])  # past the table, and an index that wraps around into it
+def test_padding_is_never_read(past):
+    # the batch pipeline re-pads every row itself, so no fill value changes a bit
+    params = _batch_params()
+    (clean,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
+    padding = np.arange(clean.indices.shape[1]) >= clean.lengths[:, None]
+    dirty = Batch(np.where(padding, params.num_nodes + past, clean.indices), clean.lengths)
+    assert padding.any()
+    runs = []
+    for batch in (clean, dirty):
+        params.reset_gradients()
+        losses = md.batch_loss(params, batch, 0.25, md.GumbelConfig(tau=0.8, rng=RngState(6)), 0.3, RngState(7))
+        rows, blocks = zip(*md.batch_scores(params, batch))
+        runs.append((rows, losses, [p.grad.copy() for p in params.parameters()], blocks))
+    (rows, *arrays), (dirty_rows, *dirty_arrays) = runs
+    assert dirty_rows == rows
+    for got, want in zip(dirty_arrays, arrays):
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _assert_matches(params, losses, want_losses, want_grads):
@@ -493,7 +513,7 @@ def test_bool_dropout_mask_scales_like_the_float_mask():
     pad = params.pad_index
     positions = np.array([[0, 1, 2, 3, 4], [5, 6, 7, pad, pad]])
     lengths, rate = np.array([5, 3]), 0.3
-    g = md._recurrence(params, positions, lengths, True, rate, RngState(8))
+    g = md._recurrence(params, positions, lengths, rate, RngState(8))
     draws, mask = RngState(8), np.zeros((2, 5, 4))
     for i, t in enumerate(lengths):
         mask[i, :t] = (draws.uniform((t, 4)) >= rate) / (1.0 - rate)
@@ -517,7 +537,7 @@ def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
     pad = params.pad_index
     positions = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, pad, pad, pad], [2, pad, pad, pad, pad, pad]])
     lengths = np.array([6, 3, 1])
-    g = md._recurrence(params, positions, lengths, rate > 0, rate, RngState(8))
+    g = md._recurrence(params, positions, lengths, rate, RngState(8))
 
     xe = params.embeddings.data[positions]
     if rate:

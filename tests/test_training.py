@@ -67,7 +67,7 @@ def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
     md.predict_topn(params, [3, 0, 7], 4)
     tr.mean_step_loss(params, cascades)
     assert len(indexed) == 3 + 1 + 3 and not any(indexed)
-    (batch,) = dt.make_batches(cascades, len(cascades), pad_index=params.pad_index)
+    (batch,) = dt.make_batches(cascades, len(cascades))
     md.batch_loss(params, batch, 1.0)
     assert indexed[7:] == [True] * 3
 
@@ -98,7 +98,7 @@ def test_validation_recurrence_stays_within_its_group_bound(monkeypatch):
     # each group's cascades as a batch of their own give the same step losses
     total, steps, start = 0.0, 0, 0
     for rows, _ in list(groups):
-        (batch,) = dt.make_batches(cascades[start:start + rows], rows, pad_index=params.pad_index)
+        (batch,) = dt.make_batches(cascades[start:start + rows], rows)
         for losses in md.batch_loss(params, batch, None):
             total += float(losses.sum())
             steps += len(losses)
