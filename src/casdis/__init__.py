@@ -27,7 +27,6 @@ from .numerics import (
     Parameter,
     RngState,
     Tensor,
-    finite_difference_gradient,
 )
 from .training import TrainConfig, TrainResult, adam_step, train
 

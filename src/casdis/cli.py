@@ -35,8 +35,6 @@ EXIT_OUTPUT = 4         # output directory not writable
 EXIT_MISMATCH = 5       # checkpoint / data disagreement
 EXIT_TRAINING = 6       # run aborted (divergence, nan gradients)
 
-log = logging.getLogger(__name__)
-
 _ALL = ("train", "eval", "ablate", "synth")
 _FIT = ("train", "ablate")
 _MODEL = ("train", "eval", "ablate")

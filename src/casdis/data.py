@@ -38,9 +38,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.ids)
 
-    def id_of(self, idx: int) -> str:
-        return self.ids[idx]
-
 
 @dataclass
 class ParsedCascades:
@@ -87,11 +84,6 @@ def parse_cascades(lines: Iterable[str], dedupe: bool = False) -> ParsedCascades
     return ParsedCascades(cascades=cascades, vocabulary=vocab, dropped_short=dropped)
 
 
-def format_cascade_lines(cascades: Sequence[Sequence[int]], vocab: Vocabulary) -> List[str]:
-    """Inverse of parse_cascades (used for round-trips and synth output)."""
-    return [" ".join(vocab.id_of(i) for i in c) for c in cascades]
-
-
 @dataclass
 class DatasetSplit:
     train: List[List[int]]
@@ -129,14 +121,23 @@ class Batch:
     lengths: np.ndarray   # (B,) true lengths
 
 
+def _index_array(cascade) -> np.ndarray:
+    """``cascade`` as a 1-D integer array; ValueError for another shape or dtype (an empty one passes)."""
+    idx = np.asarray(cascade)
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"a cascade must be a flat sequence of integer node indices, got {idx.dtype} {idx.shape}")
+    return idx
+
+
 def make_batches(cascades: Sequence[Sequence[int]], batch_size: int, max_len: int = MAX_CASCADE_LEN) -> List[Batch]:
     """Group cascades in order into batches, truncating to the first
-    ``max_len`` nodes and padding with ``PAD`` to the longest member."""
+    ``max_len`` nodes and padding with ``PAD`` to the longest member.  A cascade
+    that is not a flat sequence of integers raises ValueError."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     batches = []
     for start in range(0, len(cascades), batch_size):
-        chunk = [list(c[:max_len]) for c in cascades[start:start + batch_size]]
+        chunk = [_index_array(c)[:max_len] for c in cascades[start:start + batch_size]]
         lengths = np.array([len(c) for c in chunk], dtype=np.intp)
         width = int(lengths.max()) if len(chunk) else 0
         indices = np.full((len(chunk), width), PAD, dtype=np.intp)

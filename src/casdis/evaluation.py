@@ -9,6 +9,7 @@ no gradient and so builds no index of each candidate's best factor.  A rank is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -40,7 +41,10 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
     s = np.asarray(scores, dtype=np.float64)
-    tgt = int(target)
+    try:
+        tgt = operator.index(target)
+    except TypeError:
+        raise ValueError(f"target must be an integer node index, got {target!r}") from None
     if not 0 <= tgt < len(s):
         raise ValueError(f"target {tgt} out of range for {len(s)} scores")
     return int(_ranks(s[None], [tgt])[0])

@@ -11,8 +11,8 @@ softmax loss.
 The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``,
 for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), then
 ``_head`` (attention, factors, mix, layer norm), then scoring and loss one cascade
-at a time; ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward``
-are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
+at a time (``_score_rows``, ``_row_loss``); ``_recurrence_backward``, ``_head_backward``
+and ``_score_rows_backward`` are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
 rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
 and ``batch_scores`` (evaluation); the B=1 calls run ``_recurrence`` and ``_head`` on one
 row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
@@ -39,10 +39,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .data import _index_array
 from .numerics import (
     GUMBEL_EPS, Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
-    layer_norm_rows_backward, logsumexp, max_over_axis, sigmoid, softmax_rows,
-    softmax_rows_backward, unit_rows, unit_rows_backward, weighted_mix,
+    layer_norm_rows_backward, sigmoid, softmax_rows, softmax_rows_backward, unit_rows, unit_rows_backward,
 )
 
 
@@ -237,23 +237,23 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
 
     unit_h, norm_h = unit_rows(hidden)
     unit_p, norm_p = unit_rows(params.prototypes.data)
-    cos = dot_rows(unit_h, unit_p)
+    logits, tau = dot_rows(unit_h, unit_p) * scale, 1.0
     if gumbel is not None:
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
-        # the noise is drawn here and held fixed in the backward
-        noise = np.zeros(cos.shape)
+        # the noise is drawn here, onto the real rows, and held fixed in the backward
         for i, t in enumerate(lengths):
-            noise[i, :t] = gumbel.rng.gumbel((t, params.factors))
-        factors = softmax_rows(1.0 / gumbel.tau * (cos * scale + noise))
-        factor_scale = scale / gumbel.tau
-    else:
-        factors = softmax_rows(scale * cos)
-        factor_scale = scale
+            logits[i, :t] += gumbel.rng.gumbel((t, params.factors))
+        tau = gumbel.tau
+    factors = softmax_rows(1.0 / tau * logits)
 
-    ys, xhat, inv = layer_norm_rows(weighted_mix(attn, factors, hidden), params.ln_gain.data, params.ln_bias.data)
+    # the weighted mix out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i]: one GEMM
+    # of attn against the (L, K*D) block fh[i, k] = factors[i, k] hidden[i] of each cascade
+    fh = (factors[..., None] * hidden[:, :, None, :]).reshape(factors.shape[:2] + (-1,))
+    mixed = (attn @ fh).reshape(attn.shape[:2] + (params.factors, d))
+    ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
     return SimpleNamespace(hidden=hidden, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
-                           factors=factors, factor_scale=factor_scale, xhat=xhat, inv=inv, ys=ys)
+                           factors=factors, factor_scale=scale / tau, xhat=xhat, inv=inv, ys=ys)
 
 
 def _head_backward(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> np.ndarray:
@@ -262,8 +262,7 @@ def _head_backward(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) ->
     b, width, d = c.hidden.shape
     scale = 1.0 / math.sqrt(d)
 
-    # layer norm, then the weighted mix out = attn @ fh, with the (L, K*D)
-    # block fh[i, k] = factors[i, k] hidden[i] of each cascade
+    # layer norm, then the weighted mix out = attn @ fh (see _head)
     params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1, 2))
     params.ln_bias.grad += d_ys.sum(axis=(0, 1, 2))
     d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys).reshape(b, width, -1)
@@ -336,9 +335,17 @@ def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
     # one GEMM, not dot_rows: the benchmark's tracer sizes a scoring-stage
     # dot_rows call from its arguments' .data.  The fresh maximum is scaled in place.
     per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
-    top, best = max_over_axis(per_factor, 1, index=grad)
+    # a running maximum over the K (t, N) slices, each pass reading one whole slice.  The
+    # index has the smallest unsigned dtype that holds K - 1; a factor takes it only where
+    # it is strictly greater and it only grows, so ties go to the first factor
+    top = per_factor[:, 0].copy()
+    best = np.zeros(top.shape, dtype=np.min_scalar_type(params.factors - 1)) if grad else None
+    for k in range(1, params.factors):
+        if grad:
+            np.maximum(best, np.multiply(per_factor[:, k] > top, k, dtype=best.dtype), out=best)
+        np.maximum(top, per_factor[:, k], out=top)
     top *= 1.0 / math.sqrt(d)
-    return top, best
+    return top, best[:, None] if grad else None
 
 
 def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, d_scores: np.ndarray):
@@ -357,7 +364,8 @@ def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bo
     and, if ``grad``, the function of a weight g that gives g d(sum)/d(ys) (else None)."""
     scores, best = _score_rows(params, ys, grad)
     steps = np.arange(len(targets))
-    lse = logsumexp(scores)
+    mx = scores.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
     losses = lse[:, 0] - scores[steps, targets]
     if not grad:
         return losses, None
@@ -370,11 +378,12 @@ def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bo
     return losses, backward
 
 
-def _check_indices(params: ModelParams, indices: np.ndarray) -> None:
-    if indices.size and (indices.min() < 0 or indices.max() >= params.num_nodes):
-        raise ValueError(
-            f"cascade contains node index outside [0, {params.num_nodes})"
-        )
+def _node_indices(params: ModelParams, cascade) -> np.ndarray:
+    """``cascade`` as a 1-D integer array; ValueError for another shape or dtype, or a node index outside [0, N)."""
+    idx = _index_array(cascade)
+    if idx.size and (idx.min() < 0 or idx.max() >= params.num_nodes):
+        raise ValueError(f"cascade contains node index outside [0, {params.num_nodes})")
+    return idx
 
 
 def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, dropout_rate: float = 0.0,
@@ -384,7 +393,7 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
     chunk's rows, their t, its candidate states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill;
     then runs the chunk's head backward, and after a group's last chunk its recurrence backward."""
     indices, points = np.asarray(batch.indices), np.asarray(batch.lengths) - 1
-    _check_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
+    _node_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
     live = np.flatnonzero(points >= 1)
     width = int(points.max(initial=0))
     per_group = max(1, _GROUP_ELEMENTS // max(1, width * params.dim))
@@ -460,12 +469,9 @@ def forward_cascade(
     """
     if not training:
         gumbel, dropout_rate = None, 0.0
-    idx = np.asarray(cascade, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("cascade must be a flat sequence of node indices")
+    idx = _node_indices(params, cascade)
     if len(idx) < 2:
         raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
-    _check_indices(params, idx)
 
     lengths = np.array([len(idx) - 1])
     gru = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)
@@ -479,10 +485,9 @@ def forward_cascade(
 def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -> np.ndarray:
     """Check ``prefix``, then give the evaluation-mode scores of its prefixes ``rows``,
     with no factor index (see ``_score_rows``)."""
-    idx = np.asarray(prefix, dtype=np.intp)
+    idx = _node_indices(params, prefix)
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
-    _check_indices(params, idx)
     lengths = np.array([len(idx)])
     hidden = _recurrence(params, idx[None], lengths, 0.0, None).hidden
     return _score_rows(params, _head(params, hidden, lengths, None, rows).ys[0], grad=False)[0]

@@ -3,19 +3,16 @@
 ``RngState`` gives seeded, named random streams.  ``Parameter`` holds a
 trainable array and the gradient accumulated into it.  ``Tensor`` is a value
 paired with the closed-form rule that adds its gradient into the parameters
-it depends on; it records no graph.  The array kernels the model's forward
-is written in (row gather, sigmoid, masked softmax, row dot products, unit
-rows, the weighted mix, layer norm, the max over an axis, logsumexp) sit
-beside the backward rules of those that have one.
-``finite_difference_gradient`` is the independent oracle the test suite
-checks those rules against.  All
+it depends on; it records no graph.  The array kernels the model's stages
+call (row gather, sigmoid, masked softmax, row dot products, unit rows,
+layer norm) sit beside the backward rules of those that have one.  All
 arithmetic is float64; gradient checks are meaningless at single precision.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -187,19 +184,6 @@ def unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.nd
     return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
 
 
-def weighted_mix(attn: np.ndarray, factors: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i] for every row t
-    of the (rows, T) ``attn``, shape (rows, K, D); leading axes, if any,
-    stack independent blocks.
-
-    Runs as one GEMM of ``attn`` against the (T, K*D) block
-    ``factors[i, k] * hidden[i]``.
-    """
-    k = factors.shape[-1]
-    block = (factors[..., None] * hidden[..., None, :]).reshape(factors.shape[:-1] + (-1,))
-    return (attn @ block).reshape(attn.shape[:-1] + (k, -1))
-
-
 def layer_norm_rows(x: np.ndarray, gain, bias):
     """Normalize the last axis to zero mean and unit population variance,
     then apply the length-D ``gain`` and ``bias``; a constant row maps to
@@ -218,61 +202,3 @@ def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndar
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-
-
-def max_over_axis(x: np.ndarray, axis: int, index: bool = True):
-    """Maximum along ``axis`` (removed) and the index of the first maximum
-    (kept as a size-1 axis); with ``index`` false, the index is None.
-
-    A running elementwise maximum over the K slices along ``axis``: each
-    pass reads one whole slice instead of striding along the short axis.
-    The index has the smallest unsigned dtype that holds K - 1 (uint8 up to
-    K = 256).  Ties go to the lowest index, as with ``np.argmax``: a slice
-    takes the index only where it is strictly greater, and the index only
-    grows.  A NaN makes the maximum NaN, as with ``np.max``; the index is
-    then unspecified.  Only a backward reads the index, so a caller without
-    one skips its pass per slice.
-    """
-    slices = np.moveaxis(x, axis, 0)
-    top = slices[0].copy()
-    best = np.zeros(top.shape, dtype=np.min_scalar_type(len(slices) - 1)) if index else None
-    for k in range(1, len(slices)):
-        if index:
-            np.maximum(best, np.multiply(slices[k] > top, k, dtype=best.dtype), out=best)
-        np.maximum(top, slices[k], out=top)
-    return top, np.expand_dims(best, axis) if index else None
-
-
-def logsumexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) along the last axis, kept as a size-1 axis."""
-    mx = x.max(axis=-1, keepdims=True)
-    return np.log(np.exp(x - mx).sum(axis=-1, keepdims=True)) + mx
-
-
-def finite_difference_gradient(
-    f: Callable[[], float],
-    params: Iterable[Parameter],
-    h: float = 1e-5,
-) -> "list[np.ndarray]":
-    """Central-difference gradient of a deterministic scalar ``f`` w.r.t. every
-    entry of every parameter: (f(p + h e) - f(p - h e)) / 2h.
-
-    Perturbation happens in place; original values are restored afterwards.
-    """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    estimates = []
-    for p in params:
-        grad = np.zeros_like(p.data)
-        flat_value = p.data.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for i in range(flat_value.size):
-            original = flat_value[i]
-            flat_value[i] = original + h
-            f_plus = float(f())
-            flat_value[i] = original - h
-            f_minus = float(f())
-            flat_value[i] = original
-            flat_grad[i] = (f_plus - f_minus) / (2.0 * h)
-        estimates.append(grad)
-    return estimates

@@ -179,24 +179,19 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
         batches = make_batches(ordered, config.batch_size, config.max_len)
 
         loss_sum, step_count = 0.0, 0
-        nan_param = None
-        for batch in batches:
-            batch_steps = int(sum(max(l - 1, 0) for l in batch.lengths))
-            if batch_steps == 0:
-                continue
-            for losses in batch_loss(params, batch, 1.0 / batch_steps, gumbel, config.dropout_rate, dropout_rng):
-                loss_sum += float(losses.sum())
-                step_count += len(losses)
-            clip_gradients(params, config.clip_norm)
-            try:
+        try:
+            for batch in batches:
+                batch_steps = int(sum(max(l - 1, 0) for l in batch.lengths))
+                if batch_steps == 0:
+                    continue
+                for losses in batch_loss(params, batch, 1.0 / batch_steps, gumbel, config.dropout_rate, dropout_rng):
+                    loss_sum += float(losses.sum())
+                    step_count += len(losses)
+                clip_gradients(params, config.clip_norm)
                 adam_step(opt, params)
-            except NonFiniteGradientError as err:
-                nan_param = err.param_name
-                break
-
-        if nan_param is not None:
-            log.error("epoch %d aborted: non-finite gradient in '%s'", epoch, nan_param)
-            stopped = f"nan_gradient:{nan_param}"
+        except NonFiniteGradientError as err:
+            log.error("epoch %d aborted: non-finite gradient in '%s'", epoch, err.param_name)
+            stopped = f"nan_gradient:{err.param_name}"
             break
 
         train_loss = loss_sum / max(step_count, 1)

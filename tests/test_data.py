@@ -55,7 +55,7 @@ def test_parse_round_trip():
     lines = ["a b c\n", "d a\n", "c c b\n", "e f g h\n", "a e\n",
              "b d\n", "f g\n", "h a\n", "c e\n", "g b\n"]
     parsed = dt.parse_cascades(lines)
-    rendered = dt.format_cascade_lines(parsed.cascades, parsed.vocabulary)
+    rendered = [" ".join(parsed.vocabulary.ids[i] for i in c) for c in parsed.cascades]
     reparsed = dt.parse_cascades([l + "\n" for l in rendered])
     assert reparsed.cascades == parsed.cascades
 
@@ -145,6 +145,19 @@ def test_batch_indices_in_range_or_pad():
 def test_batches_reject_bad_size():
     with pytest.raises(ValueError):
         dt.make_batches([[0, 1]], batch_size=0)
+
+
+@pytest.mark.parametrize("cascade", [[1.9, 2.5, 3.2], [[1, 2], [3, 4]], ["1", "2"]],
+                         ids=["fraction", "nested", "digit-strings"])
+def test_batches_refuse_anything_but_a_flat_list_of_node_indices(cascade):
+    # truncating a float index or parsing a digit string would silently pick another node
+    with pytest.raises(ValueError, match="flat sequence of integer node indices"):
+        dt.make_batches([[0, 1], cascade], batch_size=2)
+
+
+def test_batches_keep_an_empty_cascade():
+    (batch,) = dt.make_batches([[], [2, 0]], batch_size=2)
+    assert batch.lengths.tolist() == [0, 2] and batch.indices[1].tolist() == [2, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ def test_rank_target_out_of_range():
         ev.rank_of_target(np.zeros(3), 3)
 
 
+def test_rank_target_must_be_an_integer():
+    scores = np.array([0.3, 0.9, 0.1])
+    with pytest.raises(ValueError, match="integer"):
+        ev.rank_of_target(scores, 1.7)
+    assert ev.rank_of_target(scores, np.int64(1)) == 1
+
+
 # ---------------------------------------------------------------------------
 # hits / map
 
@@ -195,6 +202,12 @@ def test_evaluate_rejects_an_out_of_range_node_anywhere(bad):
     params = md.init_params(30, 4, 2, RngState(31))
     with pytest.raises(ValueError, match="outside"):
         ev.evaluate(params, [[0, 1, 2], bad, [3, 4]])
+
+
+def test_evaluate_refuses_a_float_node_index():
+    params = md.init_params(6, 4, 2, RngState(0))
+    with pytest.raises(ValueError, match="integer node indices"):
+        ev.evaluate(params, [[1.9, 2.5, 3.2], [0, 1, 2]])
 
 
 def test_evaluate_monotonicity_invariants():

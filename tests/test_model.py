@@ -6,8 +6,9 @@ import pytest
 
 from casdis import model as md
 from casdis.data import Batch, make_batches
-from casdis.numerics import RngState, finite_difference_gradient, sigmoid
+from casdis.numerics import RngState, sigmoid
 
+from finite_difference import finite_difference_gradient
 from test_numerics import max_rel_err
 
 
@@ -207,12 +208,13 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
     check_gradients(build, params.parameters(), seed=0.3)
 
 
-@pytest.mark.parametrize("factors", [1, 2, 3, 4])
+@pytest.mark.parametrize("factors", [1, 2, 3, 4, 300])
 @pytest.mark.parametrize("data", ["dyadic", "normal", "nan"])
 def test_scores_equal_the_max_of_the_scaled_product(factors, data):
     # max-then-scale against scale-then-max: D = 6 makes the scale 1/sqrt(6) round,
     # dyadic candidates and table tie exactly across factors and nodes, and a NaN
-    # in a candidate or a table row must reach the same scores, with or without the index
+    # in a candidate or a table row must reach the same scores, with or without the index.
+    # At K = 300 the index needs more than 8 bits
     rng = np.random.default_rng(42 + factors)
     params = small_params(num_nodes=40, dim=6, factors=factors, seed=42 + factors)
     if data == "normal":
@@ -230,7 +232,10 @@ def test_scores_equal_the_max_of_the_scaled_product(factors, data):
     assert none is None and best.shape == (9, 1, 40)
     assert np.array_equal(scores, want, equal_nan=True) and np.array_equal(plain, want, equal_nan=True)
     real = ~np.isnan(per_factor).any(axis=1)
+    assert best.dtype == np.min_scalar_type(factors - 1)
     assert np.array_equal(best[:, 0][real], np.argmax(per_factor, axis=1)[real])
+    if data == "normal" and factors > 256:
+        assert (best > 255).any()
     if data == "dyadic":
         assert (np.diff(np.sort(plain, axis=1), axis=1) == 0).any(axis=1).all()
     if data == "nan":
@@ -323,6 +328,19 @@ def test_forward_rejects_bad_indices():
         md.forward_cascade(params, [0, 6])
     with pytest.raises(ValueError):
         md.forward_cascade(params, [-1, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda params, cascade: md.forward_cascade(params, cascade),
+    lambda params, cascade: md.prefix_scores(params, cascade),
+    lambda params, cascade: md.predict_topn(params, cascade, 2),
+], ids=["forward_cascade", "prefix_scores", "predict_topn"])
+@pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False]],
+                         ids=["fraction", "whole-float", "nested", "bool"])
+def test_cascade_calls_refuse_anything_but_a_flat_list_of_node_indices(call, cascade):
+    # truncating a float index would silently score another node
+    with pytest.raises(ValueError, match="flat sequence of integer node indices"):
+        call(small_params(), cascade)
 
 
 def test_forward_independent_of_other_cascades():

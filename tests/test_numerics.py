@@ -7,6 +7,8 @@ from casdis import numerics as nm
 from casdis.model import GumbelConfig
 from casdis.numerics import Parameter, RngState, Tensor
 
+from finite_difference import finite_difference_gradient
+
 
 def max_rel_err(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -17,7 +19,7 @@ def max_rel_err(a, b):
 def check_rule(f, grads, params, h=1e-5, tol=1e-4):
     """Gradients of the scalar f() given by a kernel's backward rule vs the
     central-difference oracle."""
-    estimates = nm.finite_difference_gradient(f, params, h=h)
+    estimates = finite_difference_gradient(f, params, h=h)
     for p, g, e in zip(params, grads, estimates):
         assert max_rel_err(g, e) < tol, f"gradient mismatch for {p.name}"
 
@@ -162,7 +164,7 @@ def test_cosine_bounded_and_zero_norm_safe():
 
 
 # ---------------------------------------------------------------------------
-# the GEMM-shaped kernels against their einsum definitions
+# the row dot product against its einsum definition
 
 
 def test_dot_rows_matches_einsum_definition():
@@ -175,31 +177,14 @@ def test_dot_rows_matches_einsum_definition():
         assert max_rel_err(out, np.einsum("...d,rd->...r", x, rows)) < 1e-12
 
 
-def test_weighted_mix_matches_einsum_definition():
-    rng = np.random.default_rng(10)
-    for total, k, d in ((1, 1, 2), (6, 3, 4), (9, 4, 5)):
-        factors = nm.softmax_rows(rng.normal(size=(total, k)))
-        hidden = rng.normal(size=(total, d))
-        attn = nm.softmax_rows(rng.normal(size=(total, total)), np.tri(total, dtype=bool))
-        for rows in (slice(None), slice(-1, None), np.array([0, total - 1])):
-            out = nm.weighted_mix(attn[rows], factors, hidden)
-            expect = np.einsum("ti,ik,id->tkd", attn[rows], factors, hidden)
-            assert out.shape == expect.shape
-            assert max_rel_err(out, expect) < 1e-12
-
-
 def test_stacked_blocks_match_the_kernels_block_by_block():
     rng = np.random.default_rng(11)
-    b, rows, total, k, d = 3, 4, 6, 2, 5
+    b, rows, total, d = 3, 4, 6, 5
     x, blocks = rng.normal(size=(b, rows, d)), rng.normal(size=(b, total, d))
-    factors = nm.softmax_rows(rng.normal(size=(b, total, k)))
-    attn = nm.softmax_rows(rng.normal(size=(b, rows, total)))
     dots = nm.dot_rows(x, blocks)
-    mixed = nm.weighted_mix(attn, factors, blocks)
-    assert dots.shape == (b, rows, total) and mixed.shape == (b, rows, k, d)
+    assert dots.shape == (b, rows, total)
     for i in range(b):
         assert max_rel_err(dots[i], nm.dot_rows(x[i], blocks[i])) < 1e-12
-        assert max_rel_err(mixed[i], nm.weighted_mix(attn[i], factors[i], blocks[i])) < 1e-12
 
 
 def _sigmoid_inputs():
@@ -236,63 +221,6 @@ def test_sigmoid_in_place_gives_the_same_bits():
         expect = nm.sigmoid(buf)
         assert nm.sigmoid(buf, out=buf) is buf
         assert np.array_equal(buf.view(np.uint64), expect.view(np.uint64))
-
-
-# ---------------------------------------------------------------------------
-# max over an axis: np.max and the first np.argmax, the index as a size-1 axis;
-# without the index, np.max and None
-
-
-def check_max_over_axis(x, axis, check_index=True):
-    top, best = nm.max_over_axis(x, axis)
-    expect = np.max(x, axis=axis)
-    assert top.shape == expect.shape and best.shape == np.expand_dims(expect, axis).shape
-    assert np.array_equal(top, expect, equal_nan=True)
-    plain, none = nm.max_over_axis(x, axis, index=False)
-    assert none is None and np.array_equal(plain, expect, equal_nan=True)
-    if check_index:
-        assert np.array_equal(best.squeeze(axis), np.argmax(x, axis=axis))
-    return best
-
-
-@pytest.mark.parametrize("axis", [0, 1, -1])
-def test_max_over_axis_matches_max_and_argmax(axis):
-    x = np.random.default_rng(11).normal(size=(5, 4, 7))
-    best = check_max_over_axis(x, axis)
-    assert best.dtype == np.uint8
-
-
-def test_max_over_axis_single_slice_has_index_zero():
-    x = np.random.default_rng(12).normal(size=(3, 1, 6))
-    best = check_max_over_axis(x, 1)
-    assert not best.any()
-
-
-def test_max_over_axis_ties_go_to_the_first_index():
-    rng = np.random.default_rng(13)
-    x = rng.integers(-2, 3, size=(6, 5, 40)).astype(np.float64)  # many exact ties
-    x[:, 3] = x[:, 1]                                             # identical slices
-    check_max_over_axis(x, 1)
-    same = np.repeat(rng.normal(size=(6, 1, 40)), 4, axis=1)      # every slice equal
-    assert not check_max_over_axis(same, 1).any()
-
-
-def test_max_over_axis_index_holds_more_than_256_slices():
-    x = np.random.default_rng(14).normal(size=(2, 300, 9))
-    x[0, 299] = 10.0    # the last slice wins: index 299 needs more than 8 bits
-    best = check_max_over_axis(x, 1)
-    assert best.dtype == np.uint16
-    assert (best[0] == 299).all()
-
-
-def test_max_over_axis_propagates_nan_like_max():
-    x = np.random.default_rng(15).normal(size=(4, 3, 5))
-    x[0, 0, 1] = np.nan   # in the first slice
-    x[2, 2, 3] = np.nan   # in a later slice
-    check_max_over_axis(x, 1, check_index=False)
-    top, _ = nm.max_over_axis(x, 1)
-    assert np.isnan(top[0, 1]) and np.isnan(top[2, 3])
-    assert np.isfinite(np.delete(top.ravel(), [1, 13])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +283,31 @@ def test_gumbel_argmax_frequency_matches_gumbel_max():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# the finite-difference oracle (tests/finite_difference.py)
 
 
 def test_fd_of_square():
     p = Parameter(np.array([3.0]), "x")
-    (grad,) = nm.finite_difference_gradient(lambda: float(p.data[0] ** 2), [p], h=1e-4)
+    (grad,) = finite_difference_gradient(lambda: float(p.data[0] ** 2), [p], h=1e-4)
     assert abs(grad[0] - 6.0) < 1e-6
 
 
 def test_fd_of_constant_function():
     p = Parameter(np.array([0.4, -1.2, 0.0]), "x")
-    (grad,) = nm.finite_difference_gradient(lambda: float(nm.softmax_rows(p.data).sum()), [p], h=1e-5)
+    (grad,) = finite_difference_gradient(lambda: float(nm.softmax_rows(p.data).sum()), [p], h=1e-5)
     assert np.max(np.abs(grad)) < 1e-7
 
 
 def test_fd_restores_values():
     p = Parameter(np.array([1.0, 2.0]), "x")
     before = p.data.copy()
-    nm.finite_difference_gradient(lambda: float(p.data.sum()), [p])
+    finite_difference_gradient(lambda: float(p.data.sum()), [p])
     assert (p.data == before).all()
 
 
 def test_fd_rejects_bad_step():
     with pytest.raises(ValueError):
-        nm.finite_difference_gradient(lambda: 0.0, [], h=0.0)
+        finite_difference_gradient(lambda: 0.0, [], h=0.0)
 
 
 # ---------------------------------------------------------------------------

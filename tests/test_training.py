@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from casdis import cli
 from casdis import data as dt
 from casdis import evaluation as ev
 from casdis import model as md
@@ -53,14 +54,14 @@ def test_a_tiny_accepted_temperature_keeps_losses_and_gradients_finite():
 
 def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
     # evaluate, predict_topn and validation want no gradient, so none of their
-    # max-over-factor calls asks for the index; a training batch still does
-    indexed, kernel = [], md.max_over_axis
+    # scoring calls asks for the factor index; a training batch still does
+    indexed, scoring = [], md._score_rows
 
-    def spy(*args, **kwargs):
-        indexed.append(kwargs.get("index", args[2] if len(args) > 2 else True))
-        return kernel(*args, **kwargs)
+    def spy(params, ys, grad):
+        indexed.append(grad)
+        return scoring(params, ys, grad)
 
-    monkeypatch.setattr(md, "max_over_axis", spy)
+    monkeypatch.setattr(md, "_score_rows", spy)
     params = md.init_params(9, 4, 3, RngState(33))
     cascades = [[3, 0, 7, 3, 5], [1, 8], [2, 4, 6, 1]]
     ev.evaluate(params, cascades)
@@ -70,6 +71,32 @@ def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
     (batch,) = dt.make_batches(cascades, len(cascades))
     md.batch_loss(params, batch, 1.0)
     assert indexed[7:] == [True] * 3
+
+
+def test_a_non_finite_gradient_aborts_training_and_the_cli_exits_6(monkeypatch, tmp_path):
+    # the third training batch poisons one gradient: two batches make epoch 1, so epoch 2 aborts unlogged
+    calls, batch_loss = [], tr.batch_loss
+
+    def poisoned(params, batch, weight, *args):
+        losses = batch_loss(params, batch, weight, *args)
+        if weight is not None:
+            calls.append(weight)
+            if len(calls) == 3:
+                params.u_h.grad[0, 0] = np.nan
+        return losses
+
+    monkeypatch.setattr(tr, "batch_loss", poisoned)
+    split = dt.DatasetSplit(train=[[0, 1, 2, 3], [3, 2, 1], [1, 0, 2], [2, 3]], valid=[[1, 2, 0]], test=[[2, 0, 1]],
+                            split_seed=0)
+    result = tr.train(tr.TrainConfig(max_epochs=5, k=2, d=4, batch_size=2), split, 4)
+    assert result.stopped == "nan_gradient:u_h" and [s.epoch for s in result.log] == [1]
+
+    calls.clear()
+    data, out = tmp_path / "cascades.txt", tmp_path / "run"
+    data.write_text("".join(" ".join(f"n{(i + j) % 12}" for j in range(i % 5 + 2)) + "\n" for i in range(20)))
+    argv = ["train", "--data", str(data), "--out", str(out), "--k", "2", "--d", "4", "--batch-size", "8"]
+    assert cli.main(argv) == cli.EXIT_TRAINING
+    assert len(calls) == 3 and len((out / "train_log.csv").read_text().splitlines()) == 2
 
 
 def test_library_writes_nothing_to_stdout(capfd, caplog):
