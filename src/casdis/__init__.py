@@ -1,7 +1,6 @@
 """Sequential cascade modeling with factor-disentangled attention."""
 
 from .data import (
-    Batch,
     DatasetSplit,
     ParsedCascades,
     SyntheticSpec,

@@ -138,21 +138,16 @@ def given_config(args: argparse.Namespace) -> dict:
     return given
 
 
-def write_resolved_config(out_dir: Path, config: dict) -> None:
-    lines = [f"{k}={config[k]}" for k in sorted(config)]
-    (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _ensure_out_dir(config: dict) -> Path:
+    """Create the output directory of ``config`` and write its ``config.resolved``."""
     out = config.get("out")
     if not out:
         raise CliError(EXIT_USAGE, "--out is required")
     out_dir = Path(out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        lines = [f"{k}={config[k]}" for k in sorted(config)]
+        (out_dir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as err:
         raise CliError(EXIT_OUTPUT, f"output directory {out} is not writable: {err}")
     return out_dir
@@ -194,7 +189,6 @@ def cmd_train(config: dict) -> int:
     train_config = _train_config(config)  # validate inputs before creating outputs
     parsed = _read_data(config)
     out_dir = _ensure_out_dir(config)
-    write_resolved_config(out_dir, config)
 
     split = _split(config, parsed.cascades)
     result = train(train_config, split, parsed.vocabulary.size)
@@ -242,7 +236,6 @@ def cmd_eval(config: dict, given: dict) -> int:
     config = dict(config, **stored)
 
     out_dir = _ensure_out_dir(config)
-    write_resolved_config(out_dir, config)
     split = _split(config, parsed.cascades)
     report = evaluate(params, split.test, n_values)
 
@@ -273,7 +266,6 @@ def cmd_ablate(config: dict) -> int:
     cells = [(k, d, _train_config(dict(config, k=k, d=d))) for k in k_list for d in d_list]
     parsed = _read_data(config)
     out_dir = _ensure_out_dir(config)
-    write_resolved_config(out_dir, config)
 
     split = _split(config, parsed.cascades)     # shared across all cells
     header = ["k", "d"] + [f"hits@{n}" for n in n_values] + [f"map@{n}" for n in n_values]
@@ -303,7 +295,6 @@ def cmd_synth(config: dict) -> int:
     except ValueError as err:
         raise CliError(EXIT_USAGE, str(err))
     out_dir = _ensure_out_dir(config)
-    write_resolved_config(out_dir, config)
 
     cascades, labels = generate_synthetic(spec)
     write_synthetic(out_dir / "cascades.txt", out_dir / "communities.tsv", cascades, labels)

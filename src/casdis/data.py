@@ -1,8 +1,9 @@
 """Cascade file handling and the synthetic community generator.
 
 Cascade files are UTF-8 text: one cascade per line, whitespace-separated raw
-node ids in activation order, ``#`` lines ignored.  The synthetic generator
-produces diffusion traces over planted communities together with a
+node ids in activation order, ``#`` lines ignored.  ``make_batches`` groups the
+parsed cascades into batches, each a plain list of cascades.  The synthetic
+generator produces diffusion traces over planted communities together with a
 node-to-community label sidecar.
 """
 
@@ -20,7 +21,6 @@ from .numerics import RngState
 log = logging.getLogger(__name__)
 
 MAX_CASCADE_LEN = 200  # default truncation; typical cascades are far shorter
-PAD = -1  # fills a Batch row past its cascade; no node has this index
 
 
 @dataclass
@@ -111,16 +111,6 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
     )
 
 
-@dataclass
-class Batch:
-    """Padded index block: row b holds a cascade in its first ``lengths[b]``
-    entries, then ``PAD``.  The model reads only the real entries: it re-pads each
-    row with its own padding slot, so any fill value gives the same bits."""
-
-    indices: np.ndarray   # (B, L) int
-    lengths: np.ndarray   # (B,) true lengths
-
-
 def _index_array(cascade) -> np.ndarray:
     """``cascade`` as a 1-D integer array; ValueError for another shape or dtype (an empty one passes)."""
     idx = np.asarray(cascade)
@@ -129,22 +119,15 @@ def _index_array(cascade) -> np.ndarray:
     return idx
 
 
-def make_batches(cascades: Sequence[Sequence[int]], batch_size: int, max_len: int = MAX_CASCADE_LEN) -> List[Batch]:
-    """Group cascades in order into batches, truncating to the first
-    ``max_len`` nodes and padding with ``PAD`` to the longest member.  A cascade
-    that is not a flat sequence of integers raises ValueError."""
+def make_batches(cascades: Sequence[Sequence[int]], batch_size: int,
+                 max_len: int = MAX_CASCADE_LEN) -> List[List[np.ndarray]]:
+    """Group cascades in order into batches, each a list of cascades as integer
+    arrays cut to their first ``max_len`` nodes.  A cascade that is not a flat
+    sequence of integers raises ValueError."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    batches = []
-    for start in range(0, len(cascades), batch_size):
-        chunk = [_index_array(c)[:max_len] for c in cascades[start:start + batch_size]]
-        lengths = np.array([len(c) for c in chunk], dtype=np.intp)
-        width = int(lengths.max()) if len(chunk) else 0
-        indices = np.full((len(chunk), width), PAD, dtype=np.intp)
-        for row, c in enumerate(chunk):
-            indices[row, : len(c)] = c
-        batches.append(Batch(indices=indices, lengths=lengths))
-    return batches
+    return [[_index_array(c)[:max_len] for c in cascades[start:start + batch_size]]
+            for start in range(0, len(cascades), batch_size)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Each prefix of each test cascade is one retrieval query: score all candidate
 nodes, find the rank of the true next node, aggregate hits@N and map@N.  The
-cascade set is scored as one padded batch by ``model.batch_scores``, which wants
-no gradient and so builds no index of each candidate's best factor.  A rank is
+cascade list is scored as one batch by ``model.batch_scores``, which wants no
+gradient and so builds no index of each candidate's best factor.  A rank is
 1 plus the count of nodes that score higher or tie the target at a lower index.
 """
 
@@ -15,7 +15,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .data import make_batches
 from .model import ModelParams, batch_scores
 
 DEFAULT_N_VALUES = (10, 50, 100)
@@ -71,13 +70,11 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 
 def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
     """Target ranks for every prefix of every cascade, evaluation mode, under the
-    tie-break of ``rank_of_target``.  The cascades run uncut as one ``batch_scores`` batch,
-    whose groups and chunks bound the memory; each row's (t, N) block is ranked at once."""
+    tie-break of ``rank_of_target``.  The list of cascades runs uncut as one ``batch_scores``
+    batch, whose groups and chunks bound the memory; each cascade's (t, N) block is ranked at once."""
     all_ranks: List[int] = []
-    longest = max(map(len, cascades), default=0)
-    for batch in make_batches(cascades, max(len(cascades), 1), longest):
-        for row, scores in batch_scores(params, batch):
-            all_ranks.extend(_ranks(scores, batch.indices[row, 1:len(scores) + 1]).tolist())
+    for row, scores in batch_scores(params, cascades):
+        all_ranks.extend(_ranks(scores, cascades[row][1:len(scores) + 1]).tolist())
     return all_ranks
 
 

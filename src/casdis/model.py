@@ -12,14 +12,14 @@ The model is defined once, on float64 arrays and the kernels of ``casdis.numeric
 for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), then
 ``_head`` (attention, factors, mix, layer norm), then scoring and loss one cascade
 at a time (``_score_rows``, ``_row_loss``); ``_recurrence_backward``, ``_head_backward``
-and ``_score_rows_backward`` are its closed-form derivative.  ``_chunks`` runs a batch's recurrence per group of
-rows and the O(L^2) head per chunk of a group, for ``batch_loss`` (training, validation)
-and ``batch_scores`` (evaluation); the B=1 calls run ``_recurrence`` and ``_head`` on one
-row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
-``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training``
-switch, which turns both off.  ``_chunks`` reads only a ``Batch``'s real entries and
-pads with the table's own padding row.  Tests pin the model to a numpy oracle and
-finite differences.
+and ``_score_rows_backward`` are its closed-form derivative.  A batch is a plain list of
+cascades.  ``_chunks`` runs its recurrence per group of rows and the O(L^2) head per chunk
+of a group, for ``batch_loss`` (training, validation) and ``batch_scores`` (evaluation); it
+is the one place that pads, once per group, with the table's own padding row.  The B=1
+calls run ``_recurrence`` and ``_head`` on one row themselves.  Dropout runs iff
+``dropout_rate > 0`` and Gumbel noise iff a ``GumbelConfig`` is given; only the public
+``forward_cascade`` has a ``training`` switch, which turns both off.  Tests pin the model
+to a numpy oracle and finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
@@ -388,12 +388,13 @@ def _node_indices(params: ModelParams, cascade) -> np.ndarray:
 
 def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, dropout_rate: float = 0.0,
             dropout_rng: Optional[RngState] = None):
-    """Run each row of a padded ``Batch`` with t >= 1 prediction points on its first t nodes, the recurrence
-    per group of rows (``_GROUP_ELEMENTS``), the head per chunk of a group (``_CHUNK_ELEMENTS``).  Yields each
-    chunk's rows, their t, its candidate states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill;
-    then runs the chunk's head backward, and after a group's last chunk its recurrence backward."""
-    indices, points = np.asarray(batch.indices), np.asarray(batch.lengths) - 1
-    _node_indices(params, indices[np.arange(indices.shape[1]) <= points[:, None]])
+    """Run each cascade of ``batch``, a sequence of cascades, with t >= 1 prediction points on its first t
+    nodes, the recurrence per group of rows (``_GROUP_ELEMENTS``), padded once with the table's padding row,
+    the head per chunk of a group (``_CHUNK_ELEMENTS``).  Yields each chunk's rows, their t, its candidate
+    states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill; then runs the chunk's head
+    backward, and after a group's last chunk its recurrence backward."""
+    cascades = [_node_indices(params, cascade) for cascade in batch]
+    points = np.array([len(c) - 1 for c in cascades], dtype=np.intp)
     live = np.flatnonzero(points >= 1)
     width = int(points.max(initial=0))
     per_group = max(1, _GROUP_ELEMENTS // max(1, width * params.dim))
@@ -401,8 +402,9 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
     for start in range(0, len(live), per_group):
         group = live[start:start + per_group]
         lengths = points[group]
-        span = int(lengths.max())
-        positions = np.where(np.arange(span) < lengths[:, None], indices[group, :span], params.pad_index)
+        positions = np.full((len(group), int(lengths.max())), params.pad_index)
+        for i, (row, t) in enumerate(zip(group, lengths)):
+            positions[i, :t] = cascades[row][:t]
         g = _recurrence(params, positions, lengths, dropout_rate, dropout_rng)
         d_hidden = np.zeros(g.hidden.shape) if grad else None
         for first in range(0, len(group), per_chunk):
@@ -421,20 +423,19 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
 
 def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
                dropout_rate: float = 0.0, dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
-    """Step losses of every cascade of a padded ``Batch``, one array per row
-    (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
+    """Step losses of every cascade of ``batch``, a list of cascades, one array per
+    cascade (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
     their sum into every ``Parameter.grad``; ``None`` computes no gradient.
     Gumbel noise runs iff ``gumbel`` is given, dropout iff ``dropout_rate > 0``.
 
-    The rows run through ``_chunks``, whose groups and chunks bound the memory; scoring,
-    loss and its backward go row by row, so one (t, K, N) block is live.  Without a
+    The cascades run through ``_chunks``, whose groups and chunks bound the memory; scoring,
+    loss and its backward go cascade by cascade, so one (t, K, N) block is live.  Without a
     ``weight``, scoring builds no factor index (see ``_score_rows``).
     """
-    indices = np.asarray(batch.indices)
-    out = [np.empty(0)] * len(batch.lengths)
+    out = [np.empty(0)] * len(batch)
     for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, dropout_rate, dropout_rng):
         for j, (row, t) in enumerate(zip(rows, lengths)):
-            out[row], score_backward = _row_loss(params, ys[j, :t], indices[row, 1:t + 1], weight is not None)
+            out[row], score_backward = _row_loss(params, ys[j, :t], batch[row][1:t + 1], weight is not None)
             if weight is not None:
                 d_ys[j, :t] = score_backward(weight)
         del ys, d_ys, score_backward  # _chunks runs the next chunk without this one's arrays
@@ -442,10 +443,10 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
 
 
 def batch_scores(params: ModelParams, batch):
-    """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of a padded ``Batch``
-    with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row order, one (t, N) block
-    at a time, whose row i scores the next node after the first i+1 nodes.  Scoring builds no
-    factor index (see ``_score_rows``)."""
+    """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of ``batch``,
+    a list of cascades, with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row
+    order, one (t, N) block at a time, whose row i scores the next node after the first i+1
+    nodes of ``batch[row]``.  Scoring builds no factor index (see ``_score_rows``)."""
     for rows, lengths, ys, _ in _chunks(params, batch, grad=False):
         for j, (row, t) in enumerate(zip(rows, lengths)):
             yield int(row), _score_rows(params, ys[j, :t], grad=False)[0]

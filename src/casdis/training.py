@@ -148,13 +148,15 @@ def mean_step_loss(params: ModelParams, cascades, max_len: int = MAX_CASCADE_LEN
 def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResult:
     """Train on ``split.train``, tracking validation loss per epoch.
 
-    The learning rate is multiplied by ``lr_decay_factor`` after
+    The learning rate is multiplied by ``lr_decay_factor`` after every
     ``lr_patience`` consecutive epochs without validation improvement;
     training stops after ``patience`` such epochs, or on divergence, always
-    returning the best-validation checkpoint seen.
+    returning the best-validation checkpoint seen.  A train or valid part with
+    no cascade of 2 or more nodes has no prediction point and raises ValueError.
     """
-    if not split.train or not split.valid:
-        raise ValueError("train and valid sets must be non-empty")
+    for part in ("train", "valid"):
+        if not any(len(c) >= 2 for c in getattr(split, part)):
+            raise ValueError(f"the {part} part holds no cascade of 2 or more nodes, so no prediction point")
 
     init_rng = RngState.derive(config.seed, "init")
     gumbel_rng = RngState.derive(config.seed, "gumbel")
@@ -168,7 +170,6 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
     best = params.clone()
     best_valid = math.inf
     stall = 0
-    lr_stall = 0
     stats: List[EpochStats] = []
     stopped = "max_epochs"
 
@@ -181,7 +182,7 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
         loss_sum, step_count = 0.0, 0
         try:
             for batch in batches:
-                batch_steps = int(sum(max(l - 1, 0) for l in batch.lengths))
+                batch_steps = sum(max(len(c) - 1, 0) for c in batch)
                 if batch_steps == 0:
                     continue
                 for losses in batch_loss(params, batch, 1.0 / batch_steps, gumbel, config.dropout_rate, dropout_rng):
@@ -211,13 +212,10 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
             best_valid = valid_loss
             best = params.clone()
             stall = 0
-            lr_stall = 0
         else:
             stall += 1
-            lr_stall += 1
-            if lr_stall >= config.lr_patience:
+            if stall % config.lr_patience == 0:
                 opt.lr *= config.lr_decay_factor
-                lr_stall = 0
                 log.info("epoch %d: validation plateau, lr -> %.2e", epoch, opt.lr)
             if stall >= config.patience:
                 stopped = "early_stop"

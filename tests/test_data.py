@@ -102,44 +102,17 @@ def test_split_too_few():
 # batching
 
 
-def _pad_mask(batch):
-    """True exactly at the padding slots that ``lengths`` implies."""
-    return np.arange(batch.indices.shape[1]) >= batch.lengths[:, None]
-
-
-def test_batches_single_cascade():
-    (batch,) = dt.make_batches([[3, 1, 2]], batch_size=1)
-    assert batch.indices.shape == (1, 3)
-    assert not _pad_mask(batch).any()
-    assert batch.lengths.tolist() == [3]
-
-
-def test_batches_padding():
-    (batch,) = dt.make_batches([[1, 2, 3], [4, 5, 6, 7, 8]], batch_size=2)
-    assert batch.indices.shape == (2, 5)
-    assert _pad_mask(batch)[0].tolist() == [False, False, False, True, True]
-    assert (batch.indices[0, 3:] == dt.PAD).all()
-    assert batch.indices[0, :batch.lengths[0]].tolist() == [1, 2, 3]
-
-
-def test_batches_ceiling_division():
-    batches = dt.make_batches([[0, 1]] * 7, batch_size=3)
-    assert [len(b.lengths) for b in batches] == [3, 3, 1]
-
-
-def test_batches_truncate_to_max_len():
-    (batch,) = dt.make_batches([list(range(10))], batch_size=1, max_len=4)
-    assert batch.indices[0, :batch.lengths[0]].tolist() == [0, 1, 2, 3]
-
-
-def test_batch_indices_in_range_or_pad():
-    rng = np.random.default_rng(0)
-    cascades = [rng.integers(0, 20, size=rng.integers(2, 9)).tolist() for _ in range(13)]
-    for batch in dt.make_batches(cascades, batch_size=4):
-        pad = _pad_mask(batch)
-        real = batch.indices[~pad]
-        assert (real < 20).all() and (real >= 0).all()
-        assert (batch.indices[pad] == dt.PAD).all()
+@pytest.mark.parametrize("cascades, batch_size, max_len, expect", [
+    ([[3, 1, 2]], 1, 200, [[[3, 1, 2]]]),
+    ([[1, 2, 3], [4, 5, 6, 7, 8]], 2, 200, [[[1, 2, 3], [4, 5, 6, 7, 8]]]),
+    ([[0, 1]] * 7, 3, 200, [[[0, 1]] * 3, [[0, 1]] * 3, [[0, 1]]]),
+    ([list(range(10)), [4, 2]], 1, 4, [[[0, 1, 2, 3]], [[4, 2]]]),
+    ([[], [2, 0]], 2, 200, [[[], [2, 0]]]),
+], ids=["single", "unequal", "ceiling", "truncate", "empty"])
+def test_batches_hold_the_cascades_in_order(cascades, batch_size, max_len, expect):
+    batches = dt.make_batches(cascades, batch_size, max_len)
+    assert [[c.tolist() for c in batch] for batch in batches] == expect
+    assert all(c.ndim == 1 and (c.dtype.kind in "iu" or c.size == 0) for batch in batches for c in batch)
 
 
 def test_batches_reject_bad_size():
@@ -153,11 +126,6 @@ def test_batches_refuse_anything_but_a_flat_list_of_node_indices(cascade):
     # truncating a float index or parsing a digit string would silently pick another node
     with pytest.raises(ValueError, match="flat sequence of integer node indices"):
         dt.make_batches([[0, 1], cascade], batch_size=2)
-
-
-def test_batches_keep_an_empty_cascade():
-    (batch,) = dt.make_batches([[], [2, 0]], batch_size=2)
-    assert batch.lengths.tolist() == [0, 2] and batch.indices[1].tolist() == [2, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from casdis import data as dt
 from casdis import evaluation as ev
 from casdis import model as md
 from casdis.numerics import RngState
@@ -172,8 +171,7 @@ def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkey
 def test_batch_scores_yields_live_rows_in_order():
     params = md.init_params(12, 4, 2, RngState(30))
     cascades = [[4, 1, 2], [3], [], [0, 5, 2, 6, 11], [7, 1], [9]]
-    (batch,) = dt.make_batches(cascades, len(cascades))
-    got = list(md.batch_scores(params, batch))
+    got = list(md.batch_scores(params, cascades))
     assert [row for row, _ in got] == [0, 3, 4]
     for row, scores in got:
         want = md.prefix_scores(params, cascades[row][:-1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casdis import model as md
-from casdis.data import Batch, make_batches
+from casdis.data import make_batches
 from casdis.numerics import RngState, sigmoid
 
 from finite_difference import finite_difference_gradient
@@ -334,7 +334,9 @@ def test_forward_rejects_bad_indices():
     lambda params, cascade: md.forward_cascade(params, cascade),
     lambda params, cascade: md.prefix_scores(params, cascade),
     lambda params, cascade: md.predict_topn(params, cascade, 2),
-], ids=["forward_cascade", "prefix_scores", "predict_topn"])
+    lambda params, cascade: md.batch_loss(params, [[0, 1], cascade], 1.0),
+    lambda params, cascade: list(md.batch_scores(params, [[0, 1], cascade])),
+], ids=["forward_cascade", "prefix_scores", "predict_topn", "batch_loss", "batch_scores"])
 @pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False]],
                          ids=["fraction", "whole-float", "nested", "bool"])
 def test_cascade_calls_refuse_anything_but_a_flat_list_of_node_indices(call, cascade):
@@ -411,9 +413,8 @@ def _batch_params(factors=2):
 
 def _run_batch(params, cascades, weight):
     """``batch_loss`` over ``cascades`` as one batch, Gumbel noise and dropout on."""
-    (batch,) = make_batches(cascades, len(cascades))
     gumbel = md.GumbelConfig(tau=0.8, rng=RngState(6))
-    return md.batch_loss(params, batch, weight, gumbel, 0.3, RngState(7))
+    return md.batch_loss(params, cascades, weight, gumbel, 0.3, RngState(7))
 
 
 @pytest.mark.parametrize("factors", [1, 3])
@@ -452,28 +453,24 @@ def test_batch_without_weight_leaves_gradients_alone():
     assert sum(len(x) for x in losses) == sum(len(c) - 1 for c in BATCH_CASCADES if len(c) > 1)
     # without a weight, scoring builds no factor index; the losses are those of a
     # weighted run, bit for bit
-    (batch,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
-    plain, weighted = md.batch_loss(params, batch, None), md.batch_loss(params, batch, 0.5)
+    plain, weighted = md.batch_loss(params, BATCH_CASCADES, None), md.batch_loss(params, BATCH_CASCADES, 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(plain, weighted))
 
 
-@pytest.mark.parametrize("past", [5, -8])  # past the table, and an index that wraps around into it
-def test_padding_is_never_read(past):
-    # the batch pipeline re-pads every row itself, so no fill value changes a bit
+def test_batch_takes_plain_lists():
+    # a batch is any list of cascades: raw lists and make_batches' arrays give the same bits
     params = _batch_params()
-    (clean,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
-    padding = np.arange(clean.indices.shape[1]) >= clean.lengths[:, None]
-    dirty = Batch(np.where(padding, params.num_nodes + past, clean.indices), clean.lengths)
-    assert padding.any()
+    (arrays,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
+    assert all(isinstance(c, np.ndarray) for c in arrays)
     runs = []
-    for batch in (clean, dirty):
+    for batch in (BATCH_CASCADES, arrays):
         params.reset_gradients()
         losses = md.batch_loss(params, batch, 0.25, md.GumbelConfig(tau=0.8, rng=RngState(6)), 0.3, RngState(7))
         rows, blocks = zip(*md.batch_scores(params, batch))
         runs.append((rows, losses, [p.grad.copy() for p in params.parameters()], blocks))
-    (rows, *arrays), (dirty_rows, *dirty_arrays) = runs
-    assert dirty_rows == rows
-    for got, want in zip(dirty_arrays, arrays):
+    (rows, *want_arrays), (got_rows, *got_arrays) = runs
+    assert got_rows == rows
+    for got, want in zip(got_arrays, want_arrays):
         assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
 

@@ -68,8 +68,7 @@ def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
     md.predict_topn(params, [3, 0, 7], 4)
     tr.mean_step_loss(params, cascades)
     assert len(indexed) == 3 + 1 + 3 and not any(indexed)
-    (batch,) = dt.make_batches(cascades, len(cascades))
-    md.batch_loss(params, batch, 1.0)
+    md.batch_loss(params, cascades, 1.0)
     assert indexed[7:] == [True] * 3
 
 
@@ -99,6 +98,27 @@ def test_a_non_finite_gradient_aborts_training_and_the_cli_exits_6(monkeypatch, 
     assert len(calls) == 3 and len((out / "train_log.csv").read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("part", ["train", "valid"])
+def test_training_refuses_a_part_with_no_prediction_point(part):
+    # one node per cascade gives no step, so training would log a loss of 0.0 and return the untrained init
+    parts = {"train": [[0, 1, 2], [2, 1]], "valid": [[0, 1, 2]], part: [[0], [1]]}
+    split = dt.DatasetSplit(**parts, test=[], split_seed=0)
+    with pytest.raises(ValueError, match=f"the {part} part holds no cascade of 2 or more nodes"):
+        tr.train(tr.TrainConfig(max_epochs=4, k=1, d=2), split, 3)
+
+
+def test_learning_rate_decays_every_lr_patience_epochs_without_improvement(monkeypatch):
+    # the best valid loss 2.0 comes at epoch 5; lr_patience 2 halves the rate after
+    # the 2nd and 4th epochs without improvement, counted afresh from the best
+    losses = iter([3.0, 3.0, 3.1, 3.0, 2.0] + [2.5] * 5)
+    monkeypatch.setattr(tr, "mean_step_loss", lambda *args: next(losses))
+    split = dt.DatasetSplit(train=[[0, 1, 2]], valid=[[2, 1, 0]], test=[], split_seed=0)
+    config = tr.TrainConfig(lr_init=0.01, max_epochs=20, k=1, d=2, lr_patience=2, patience=5)
+    result = tr.train(config, split, 3)
+    assert [s.lr for s in result.log] == [0.01, 0.01, 0.01, 0.005, 0.005, 0.005, 0.005, 0.0025, 0.0025, 0.00125]
+    assert result.stopped == "early_stop" and result.best_valid_loss == 2.0
+
+
 def test_library_writes_nothing_to_stdout(capfd, caplog):
     # the benchmark's result is its last stdout line, so casdis prints nothing
     caplog.set_level(logging.INFO)
@@ -125,8 +145,7 @@ def test_validation_recurrence_stays_within_its_group_bound(monkeypatch):
     # each group's cascades as a batch of their own give the same step losses
     total, steps, start = 0.0, 0, 0
     for rows, _ in list(groups):
-        (batch,) = dt.make_batches(cascades[start:start + rows], rows)
-        for losses in md.batch_loss(params, batch, None):
+        for losses in md.batch_loss(params, cascades[start:start + rows], None):
             total += float(losses.sum())
             steps += len(losses)
         start += rows
