@@ -13,7 +13,6 @@ from .data import (
 from .evaluation import EvalReport, evaluate, hits_at_n, map_at_n, rank_of_target
 from .model import (
     CascadeForward,
-    DegenerateCascadeError,
     GumbelConfig,
     ModelParams,
     forward_cascade,

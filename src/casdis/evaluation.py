@@ -70,8 +70,8 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 
 def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
     """Target ranks for every prefix of every cascade, evaluation mode, under the
-    tie-break of ``rank_of_target``.  The list of cascades runs uncut as one ``batch_scores``
-    batch, whose groups and chunks bound the memory; each cascade's (t, N) block is ranked at once."""
+    tie-break of ``rank_of_target``.  The list of cascades runs uncut as one ``batch_scores`` batch,
+    which hands out one cascade's (t, N) block at a time, ranked at once."""
     all_ranks: List[int] = []
     for row, scores in batch_scores(params, cascades):
         all_ranks.extend(_ranks(scores, cascades[row][1:len(scores) + 1]).tolist())

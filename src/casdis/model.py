@@ -8,18 +8,18 @@ layer-normalized sums give K candidate states per step, and candidates are
 scored against the shared node-embedding table with a max-over-factors
 softmax loss.
 
-The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``,
-for a padded block of B cascades: ``_recurrence`` (embedding, dropout, GRU), then
-``_head`` (attention, factors, mix, layer norm), then scoring and loss one cascade
-at a time (``_score_rows``, ``_row_loss``); ``_recurrence_backward``, ``_head_backward``
-and ``_score_rows_backward`` are its closed-form derivative.  A batch is a plain list of
-cascades.  ``_chunks`` runs its recurrence per group of rows and the O(L^2) head per chunk
-of a group, for ``batch_loss`` (training, validation) and ``batch_scores`` (evaluation); it
-is the one place that pads, once per group, with the table's own padding row.  The B=1
-calls run ``_recurrence`` and ``_head`` on one row themselves.  Dropout runs iff
-``dropout_rate > 0`` and Gumbel noise iff a ``GumbelConfig`` is given; only the public
-``forward_cascade`` has a ``training`` switch, which turns both off.  Tests pin the model
-to a numpy oracle and finite differences.
+The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``:
+``_recurrence`` (embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm)
+on a padded block of cascades, then scoring and loss one cascade at a time (``_score_rows``,
+``_row_loss``); ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward`` are
+its closed-form derivative.  A batch is a plain list of cascades.  ``_chunks`` runs the
+recurrence per group of consecutive cascades and the O(L^2) head per chunk of a group, each
+cut from its own cascades' lengths, and hands the cascades to ``batch_loss`` (training,
+validation) and ``batch_scores`` (evaluation) one at a time; it is the one place that pads,
+once per group.  The B=1 calls run ``_recurrence`` and ``_head`` on one row themselves.
+Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a ``GumbelConfig`` is given; only
+the public ``forward_cascade`` has a ``training`` switch, which turns both off.  Tests pin
+the model to a numpy oracle and finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
@@ -44,10 +44,6 @@ from .numerics import (
     GUMBEL_EPS, Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
     layer_norm_rows_backward, sigmoid, softmax_rows, softmax_rows_backward, unit_rows, unit_rows_backward,
 )
-
-
-class DegenerateCascadeError(Exception):
-    """Cascade too short to yield a prediction point (length < 2)."""
 
 
 @dataclass
@@ -166,9 +162,9 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
 # ---------------------------------------------------------------------------
 # the batch pipeline
 
-# A batch runs its recurrence over consecutive groups of at most this many
-# elements of rows x L x D, and its head over consecutive chunks of a group of
-# at most _CHUNK_ELEMENTS of rows x L x (L + K*D), each at least one row.
+# A batch runs its recurrence over groups of rows of at most this many elements of
+# rows x L x D, and its head over chunks of a group of at most _CHUNK_ELEMENTS of
+# rows x L x (L + K*D), L the longest of the run's own rows (see _runs).
 _GROUP_ELEMENTS = 2 ** 17
 _CHUNK_ELEMENTS = 2 ** 16
 
@@ -386,35 +382,44 @@ def _node_indices(params: ModelParams, cascade) -> np.ndarray:
     return idx
 
 
+def _runs(lengths: np.ndarray, budget: int, row_elements):
+    """Cut ``lengths`` into consecutive runs, yielding each as a slice: from its first row, a run takes
+    the most rows (at least one) whose count times ``row_elements`` of their longest fits ``budget``."""
+    start = 0
+    while start < len(lengths):
+        longest = np.maximum.accumulate(lengths[start:])
+        # a run's elements only grow as it takes more rows, so the row counts that fit are 1..n
+        stop = start + max(1, np.count_nonzero(np.arange(1, len(longest) + 1) * row_elements(longest) <= budget))
+        yield slice(start, stop)
+        start = stop
+
+
 def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfig] = None, dropout_rate: float = 0.0,
             dropout_rng: Optional[RngState] = None):
-    """Run each cascade of ``batch``, a sequence of cascades, with t >= 1 prediction points on its first t
-    nodes, the recurrence per group of rows (``_GROUP_ELEMENTS``), padded once with the table's padding row,
-    the head per chunk of a group (``_CHUNK_ELEMENTS``).  Yields each chunk's rows, their t, its candidate
-    states ``ys`` and, if ``grad``, a zero ``d_ys`` for the caller to fill; then runs the chunk's head
-    backward, and after a group's last chunk its recurrence backward."""
+    """Run each cascade of ``batch``, a sequence of cascades, with t >= 1 prediction points on its first t nodes:
+    the recurrence per group of rows (``_GROUP_ELEMENTS``), padded once with the table's padding row, the head per
+    chunk of a group (``_CHUNK_ELEMENTS``), both cut by ``_runs``.  Yields each live cascade in row order: its row,
+    its candidate states ``ys`` (t, K, D) and, if ``grad``, a zero ``d_ys`` view for the caller to fill (else
+    None); a chunk's head backward runs after its last cascade, a group's recurrence backward after its last."""
     cascades = [_node_indices(params, cascade) for cascade in batch]
     points = np.array([len(c) - 1 for c in cascades], dtype=np.intp)
     live = np.flatnonzero(points >= 1)
-    width = int(points.max(initial=0))
-    per_group = max(1, _GROUP_ELEMENTS // max(1, width * params.dim))
-    per_chunk = max(1, _CHUNK_ELEMENTS // max(1, width * (width + params.factors * params.dim)))
-    for start in range(0, len(live), per_group):
-        group = live[start:start + per_group]
-        lengths = points[group]
-        positions = np.full((len(group), int(lengths.max())), params.pad_index)
-        for i, (row, t) in enumerate(zip(group, lengths)):
+    for group in _runs(points[live], _GROUP_ELEMENTS, lambda w: w * params.dim):
+        rows = live[group]
+        lengths = points[rows]
+        positions = np.full((len(rows), int(lengths.max())), params.pad_index)
+        for i, (row, t) in enumerate(zip(rows, lengths)):
             positions[i, :t] = cascades[row][:t]
         g = _recurrence(params, positions, lengths, dropout_rate, dropout_rng)
         d_hidden = np.zeros(g.hidden.shape) if grad else None
-        for first in range(0, len(group), per_chunk):
-            sel = slice(first, first + per_chunk)
-            reach = int(lengths[sel].max())
-            c = _head(params, g.hidden[sel, :reach], lengths[sel], gumbel)
+        for chunk in _runs(lengths, _CHUNK_ELEMENTS, lambda w: w * (w + params.factors * params.dim)):
+            reach = int(lengths[chunk].max())
+            c = _head(params, g.hidden[chunk, :reach], lengths[chunk], gumbel)
             d_ys = np.zeros(c.ys.shape) if grad else None
-            yield group[sel], lengths[sel], c.ys, d_ys
+            for j, (row, t) in enumerate(zip(rows[chunk], lengths[chunk])):
+                yield int(row), c.ys[j, :t], d_ys[j, :t] if grad else None
             if grad:
-                d_hidden[sel, :reach] = _head_backward(params, c, d_ys)
+                d_hidden[chunk, :reach] = _head_backward(params, c, d_ys)
             del c, d_ys  # the next chunk runs without this one's intermediates
         if grad:
             _recurrence_backward(params, g, d_hidden)
@@ -428,28 +433,25 @@ def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Opti
     their sum into every ``Parameter.grad``; ``None`` computes no gradient.
     Gumbel noise runs iff ``gumbel`` is given, dropout iff ``dropout_rate > 0``.
 
-    The cascades run through ``_chunks``, whose groups and chunks bound the memory; scoring,
-    loss and its backward go cascade by cascade, so one (t, K, N) block is live.  Without a
-    ``weight``, scoring builds no factor index (see ``_score_rows``).
+    ``_chunks`` hands out the cascades one at a time, its groups and chunks bounding the memory;
+    each is scored, and its loss backward written into its ``d_ys``, before the next, so one
+    (t, K, N) block is live.  Without a ``weight``, scoring builds no factor index (see ``_score_rows``).
     """
     out = [np.empty(0)] * len(batch)
-    for rows, lengths, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, dropout_rate, dropout_rng):
-        for j, (row, t) in enumerate(zip(rows, lengths)):
-            out[row], score_backward = _row_loss(params, ys[j, :t], batch[row][1:t + 1], weight is not None)
-            if weight is not None:
-                d_ys[j, :t] = score_backward(weight)
-        del ys, d_ys, score_backward  # _chunks runs the next chunk without this one's arrays
+    for row, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, dropout_rate, dropout_rng):
+        out[row], score_backward = _row_loss(params, ys, batch[row][1:len(ys) + 1], weight is not None)
+        if weight is not None:
+            d_ys[...] = score_backward(weight)
     return out
 
 
 def batch_scores(params: ModelParams, batch):
     """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of ``batch``,
-    a list of cascades, with >= 2 nodes, through ``_chunks``: yields ``(row, scores)`` in row
-    order, one (t, N) block at a time, whose row i scores the next node after the first i+1
-    nodes of ``batch[row]``.  Scoring builds no factor index (see ``_score_rows``)."""
-    for rows, lengths, ys, _ in _chunks(params, batch, grad=False):
-        for j, (row, t) in enumerate(zip(rows, lengths)):
-            yield int(row), _score_rows(params, ys[j, :t], grad=False)[0]
+    a list of cascades, with >= 2 nodes: yields ``(row, scores)`` in row order, one cascade
+    (and one (t, N) block) at a time as ``_chunks`` hands it out, whose row i scores the next
+    node after the first i+1 nodes of ``batch[row]``.  Scoring builds no factor index (see ``_score_rows``)."""
+    for row, ys, _ in _chunks(params, batch, grad=False):
+        yield row, _score_rows(params, ys, grad=False)[0]
 
 
 def forward_cascade(
@@ -465,14 +467,14 @@ def forward_cascade(
 
     For each prefix length t = 1..len-1 the model is asked for node t+1; the
     returned loss is the sum of the per-step losses.  Without ``training``,
-    ``gumbel`` and ``dropout_rate`` are ignored.  Raises
-    DegenerateCascadeError for cascades with no prediction point.
+    ``gumbel`` and ``dropout_rate`` are ignored.  Raises ValueError
+    for a cascade with no prediction point.
     """
     if not training:
         gumbel, dropout_rate = None, 0.0
     idx = _node_indices(params, cascade)
     if len(idx) < 2:
-        raise DegenerateCascadeError(f"cascade of length {len(idx)} has no prediction point")
+        raise ValueError(f"cascade of length {len(idx)} has no prediction point")
 
     lengths = np.array([len(idx) - 1])
     gru = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .data import MAX_CASCADE_LEN, DatasetSplit, make_batches
+from .data import MAX_CASCADE_LEN, DatasetSplit, _index_array, make_batches
 from .model import GumbelConfig, ModelParams, batch_loss, init_params
 from .numerics import RngState
 
@@ -106,9 +106,9 @@ def adam_step(opt: OptimizerState, params: ModelParams) -> None:
 
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients to a global L2 norm of at most ``max_norm``, unless that is 0 or the norm is not finite."""
     total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.parameters()))
-    if max_norm > 0 and total > max_norm:
+    if 0 < max_norm < total < math.inf:
         factor = max_norm / total
         for p in params.parameters():
             p.grad *= factor
@@ -134,15 +134,13 @@ class TrainResult:
 
 def mean_step_loss(params: ModelParams, cascades, max_len: int = MAX_CASCADE_LEN) -> float:
     """Evaluation-mode loss per step (no noise, no dropout) of every cascade cut to
-    ``max_len`` nodes, as one ``batch_loss`` batch, whose groups and chunks bound the memory."""
-    cascades, total, steps = list(cascades), 0.0, 0
-    for batch in make_batches(cascades, max(len(cascades), 1), max_len):
-        for losses in batch_loss(params, batch, None):
-            total += float(losses.sum())
-            steps += len(losses)
+    ``max_len`` nodes, run as one ``batch_loss`` batch; ``_chunks`` cuts its groups and
+    chunks from the cascades' own lengths to bound the memory."""
+    losses = batch_loss(params, [_index_array(c)[:max_len] for c in cascades], None)
+    steps = sum(len(x) for x in losses)
     if steps == 0:
         raise ValueError("no prediction points in cascade set")
-    return total / steps
+    return sum(float(x.sum()) for x in losses) / steps
 
 
 def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResult:

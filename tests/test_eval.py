@@ -150,7 +150,10 @@ def _prefix_ranks(params, cascades):
 
 def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkeypatch):
     # lengths 1, 2 and 3-12, and one cascade of 230 nodes that make_batches'
-    # default max_len of 200 would cut: ten live rows, the longest with 229 points
+    # default max_len of 200 would cut: ten live rows, the longest with 229 points.
+    # Each group and chunk is cut from its own rows: the five short rows before the
+    # long one share one group and one chunk, and the long one's group holds it and
+    # the next three, two per chunk
     rng = np.random.default_rng(29)
     params = md.init_params(30, 4, 3, RngState(29))
     cascades = [[5], [3, 7]] + [rng.integers(0, 30, size=n).tolist() for n in (3, 12, 7, 9)]
@@ -163,9 +166,38 @@ def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkey
     monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(len(pos)) or recurrence(p, pos, *a))
     monkeypatch.setattr(md, "_head", lambda p, hidden, *a: blocks.append(len(hidden)) or head(p, hidden, *a))
     ranks = ev.collect_ranks(params, cascades)
-    assert groups == [4, 4, 2] and blocks == [2, 2, 2, 2, 2]
+    assert groups == [5, 4, 1] and blocks == [5, 2, 2, 1]
     assert len(ranks) == sum(len(c) - 1 for c in cascades[1:])
     assert ranks == _prefix_ranks(params, cascades)
+
+
+def test_a_long_cascade_leaves_the_cut_of_the_short_ones_alone(monkeypatch):
+    # 600 cascades of 2-12 nodes, then one of 200, at the default budgets: each group
+    # and chunk is cut from its own rows, so the short cascades run in the groups and
+    # chunks they have without the long one, which runs alone in a group and a chunk
+    params = md.init_params(40, 32, 2, RngState(34))
+    rng = np.random.default_rng(35)
+    short = [rng.integers(0, 40, size=n).tolist() for n in rng.integers(2, 13, size=600)]
+    long = rng.integers(0, 40, size=200).tolist()
+    groups, blocks = [], []
+    recurrence, head = md._recurrence, md._head
+    monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(pos.shape) or recurrence(p, pos, *a))
+    monkeypatch.setattr(md, "_head", lambda p, hidden, *a: blocks.append(hidden.shape[:2]) or head(p, hidden, *a))
+    list(md.batch_scores(params, short))
+    alone_groups, alone_blocks = groups[:], blocks[:]
+    groups.clear(), blocks.clear()
+    cascades = short + [long]
+    scores = list(md.batch_scores(params, cascades))
+    assert len(alone_groups) >= 2 and len(alone_blocks) >= 4
+    assert groups == alone_groups + [(1, 199)] and blocks == alone_blocks + [(1, 199)]
+    kd = params.factors * params.dim
+    assert all(rows * span * params.dim <= md._GROUP_ELEMENTS for rows, span in groups)
+    assert all(rows * reach * (reach + kd) <= md._CHUNK_ELEMENTS for rows, reach in blocks)
+
+    assert [row for row, _ in scores] == list(range(len(cascades)))
+    for row, got in scores:
+        want = md.prefix_scores(params, cascades[row][:-1])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_batch_scores_yields_live_rows_in_order():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from casdis import model as md
+from casdis import training as tr
 from casdis.data import make_batches
 from casdis.numerics import RngState, sigmoid
 
@@ -315,10 +316,11 @@ def test_forward_length_two_has_one_step():
 
 
 def test_forward_degenerate_cascade():
+    # refused like every other cascade, with a ValueError
     params = small_params()
-    with pytest.raises(md.DegenerateCascadeError):
+    with pytest.raises(ValueError, match="no prediction point"):
         md.forward_cascade(params, [3])
-    with pytest.raises(md.DegenerateCascadeError):
+    with pytest.raises(ValueError, match="no prediction point"):
         md.forward_cascade(params, [])
 
 
@@ -336,9 +338,10 @@ def test_forward_rejects_bad_indices():
     lambda params, cascade: md.predict_topn(params, cascade, 2),
     lambda params, cascade: md.batch_loss(params, [[0, 1], cascade], 1.0),
     lambda params, cascade: list(md.batch_scores(params, [[0, 1], cascade])),
-], ids=["forward_cascade", "prefix_scores", "predict_topn", "batch_loss", "batch_scores"])
-@pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False]],
-                         ids=["fraction", "whole-float", "nested", "bool"])
+    lambda params, cascade: tr.mean_step_loss(params, [[0, 1], cascade]),
+], ids=["forward_cascade", "prefix_scores", "predict_topn", "batch_loss", "batch_scores", "mean_step_loss"])
+@pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False], 3],
+                         ids=["fraction", "whole-float", "nested", "bool", "scalar"])
 def test_cascade_calls_refuse_anything_but_a_flat_list_of_node_indices(call, cascade):
     # truncating a float index would silently score another node
     with pytest.raises(ValueError, match="flat sequence of integer node indices"):
@@ -480,6 +483,23 @@ def _assert_matches(params, losses, want_losses, want_grads):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * np.max(np.abs(b), initial=1.0)
     for p, w in zip(params.parameters(), want_grads):
         assert np.max(np.abs(p.grad - w)) <= 1e-12 * np.max(np.abs(w)), p.name
+
+
+def test_runs_take_the_most_rows_that_fit():
+    # from its first row, each run takes the most rows (at least one) whose count times
+    # the elements of their longest fits the budget, checked against a plain loop
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        lengths = rng.integers(1, 40, size=rng.integers(0, 30))
+        budget = int(rng.integers(1, 400))
+        start = 0
+        for run in md._runs(lengths, budget, lambda w: 3 * w):
+            stop = start + 1
+            while stop < len(lengths) and (stop + 1 - start) * 3 * lengths[start:stop + 1].max() <= budget:
+                stop += 1
+            assert (run.start, run.stop) == (start, stop)
+            start = stop
+        assert start == len(lengths)
 
 
 def test_batch_chunks_equal_one_chunk(monkeypatch):

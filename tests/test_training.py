@@ -15,10 +15,18 @@ from casdis.numerics import RngState
 def test_two_community_run_learns(two_community_run):
     """The reference run early-stops with test hits@10 well above chance.
 
-    Chance hits@10 is 10/40 = 0.25; the seeded run measures 0.559.
+    Chance hits@10 is 10/40 = 0.25; the seeded run measures 0.559.  Its numbers
+    are pinned to 1e-9 relative, like the benchmark's valid_loss: another BLAS
+    may round the last bits differently, a change to the model's math moves them by far more.
     """
-    assert two_community_run["result"].stopped == "early_stop"
-    assert two_community_run["report"].hits[10] > 0.45
+    result, report = two_community_run["result"], two_community_run["report"]
+    assert result.stopped == "early_stop" and len(result.log) == 18
+    assert report.hits[10] > 0.45
+    pinned = {"best valid loss": (result.best_valid_loss, 3.2825080357963152),
+              "test hits@10": (report.hits[10], 0.5585903083700441),
+              "test map@10": (report.maps[10], 0.17670897140060135)}
+    for name, (got, want) in pinned.items():
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0), (name, got, want)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
@@ -72,8 +80,10 @@ def test_scoring_without_a_gradient_builds_no_factor_index(monkeypatch):
     assert indexed[7:] == [True] * 3
 
 
-def test_a_non_finite_gradient_aborts_training_and_the_cli_exits_6(monkeypatch, tmp_path):
-    # the third training batch poisons one gradient: two batches make epoch 1, so epoch 2 aborts unlogged
+@pytest.mark.parametrize("poison", [np.nan, np.inf], ids=str)
+def test_a_non_finite_gradient_aborts_training_and_the_cli_exits_6(monkeypatch, tmp_path, poison):
+    # the third training batch poisons one gradient: two batches make epoch 1, so epoch 2 aborts unlogged.
+    # Clipping leaves an infinite norm alone: max_norm / inf = 0 times inf would warn and make a NaN
     calls, batch_loss = [], tr.batch_loss
 
     def poisoned(params, batch, weight, *args):
@@ -81,7 +91,7 @@ def test_a_non_finite_gradient_aborts_training_and_the_cli_exits_6(monkeypatch, 
         if weight is not None:
             calls.append(weight)
             if len(calls) == 3:
-                params.u_h.grad[0, 0] = np.nan
+                params.u_h.grad[0, 0] = poison
         return losses
 
     monkeypatch.setattr(tr, "batch_loss", poisoned)
