@@ -2,8 +2,9 @@
 
 Cascade files are UTF-8 text: one cascade per line, whitespace-separated raw
 node ids in activation order, ``#`` lines ignored.  ``make_batches`` groups the
-parsed cascades into batches, each a plain list of cascades.  The synthetic
-generator produces diffusion traces over planted communities together with a
+parsed cascades into batches, each a plain list of cascades, and neither checks
+nor cuts them (``training.train`` does, once per run).  The synthetic generator
+produces diffusion traces over planted communities together with a
 node-to-community label sidecar.
 """
 
@@ -14,13 +15,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
 from .numerics import RngState
 
 log = logging.getLogger(__name__)
-
-MAX_CASCADE_LEN = 200  # default truncation; typical cascades are far shorter
 
 
 @dataclass
@@ -111,23 +108,12 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
     )
 
 
-def _index_array(cascade) -> np.ndarray:
-    """``cascade`` as a 1-D integer array; ValueError for another shape or dtype (an empty one passes)."""
-    idx = np.asarray(cascade)
-    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"a cascade must be a flat sequence of integer node indices, got {idx.dtype} {idx.shape}")
-    return idx
-
-
-def make_batches(cascades: Sequence[Sequence[int]], batch_size: int,
-                 max_len: int = MAX_CASCADE_LEN) -> List[List[np.ndarray]]:
-    """Group cascades in order into batches, each a list of cascades as integer
-    arrays cut to their first ``max_len`` nodes.  A cascade that is not a flat
-    sequence of integers raises ValueError."""
+def make_batches(cascades: Sequence[Sequence[int]], batch_size: int) -> List[List[Sequence[int]]]:
+    """Group cascades in order into batches, each a list of at most ``batch_size``
+    of them, as they are: nothing is checked or cut here."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return [[_index_array(c)[:max_len] for c in cascades[start:start + batch_size]]
-            for start in range(0, len(cascades), batch_size)]
+    return [list(cascades[start:start + batch_size]) for start in range(0, len(cascades), batch_size)]
 
 
 # ---------------------------------------------------------------------------

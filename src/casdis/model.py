@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -39,7 +40,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import _index_array
 from .numerics import (
     GUMBEL_EPS, Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
     layer_norm_rows_backward, sigmoid, softmax_rows, softmax_rows_backward, unit_rows, unit_rows_backward,
@@ -375,8 +375,11 @@ def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bo
 
 
 def _node_indices(params: ModelParams, cascade) -> np.ndarray:
-    """``cascade`` as a 1-D integer array; ValueError for another shape or dtype, or a node index outside [0, N)."""
-    idx = _index_array(cascade)
+    """The one check of what a cascade is: ``cascade`` as a 1-D integer array; ValueError for another
+    shape or dtype, or a node index outside [0, N) (an empty cascade passes)."""
+    idx = np.asarray(cascade)
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"a cascade must be a flat sequence of integer node indices, got {idx.dtype} {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= params.num_nodes):
         raise ValueError(f"cascade contains node index outside [0, {params.num_nodes})")
     return idx
@@ -511,6 +514,10 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
     no factor index (see ``_score_rows``), and only the nodes that tie with or
     beat the n-th best score are sorted.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 0 or n > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
     neg = -_eval_scores(params, prefix, slice(-1, None))[0]

@@ -3,7 +3,9 @@
 The batch objective is the mean step loss over every prediction step of the
 batch: one ``batch_loss`` call per batch adds 1/steps times the gradient of
 the summed step losses.  Validation runs the same pipeline without a
-gradient.
+gradient.  ``train`` checks each cascade and cuts it to ``max_len`` nodes
+once, before the first epoch; ``make_batches`` and ``mean_step_loss`` take
+cascades as they are.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .data import MAX_CASCADE_LEN, DatasetSplit, _index_array, make_batches
-from .model import GumbelConfig, ModelParams, batch_loss, init_params
+from .data import DatasetSplit, make_batches
+from .model import GumbelConfig, ModelParams, _node_indices, batch_loss, init_params
 from .numerics import RngState
 
 log = logging.getLogger(__name__)
@@ -42,7 +44,7 @@ class TrainConfig:
     seed: int = 1
     k: int = 4
     d: int = 64
-    max_len: int = MAX_CASCADE_LEN
+    max_len: int = 200  # cut per cascade; typical cascades are far shorter
     clip_norm: float = 5.0
 
     def __post_init__(self):
@@ -132,11 +134,11 @@ class TrainResult:
     stopped: str                 # "max_epochs" | "early_stop" | "diverged" | "nan_gradient:<name>"
 
 
-def mean_step_loss(params: ModelParams, cascades, max_len: int = MAX_CASCADE_LEN) -> float:
-    """Evaluation-mode loss per step (no noise, no dropout) of every cascade cut to
-    ``max_len`` nodes, run as one ``batch_loss`` batch; ``_chunks`` cuts its groups and
-    chunks from the cascades' own lengths to bound the memory."""
-    losses = batch_loss(params, [_index_array(c)[:max_len] for c in cascades], None)
+def mean_step_loss(params: ModelParams, cascades) -> float:
+    """Evaluation-mode loss per step (no noise, no dropout) of the cascades as they are,
+    uncut, run as one ``batch_loss`` batch; ``_chunks`` cuts its groups and chunks from
+    the cascades' own lengths to bound the memory."""
+    losses = batch_loss(params, cascades, None)
     steps = sum(len(x) for x in losses)
     if steps == 0:
         raise ValueError("no prediction points in cascade set")
@@ -149,19 +151,22 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
     The learning rate is multiplied by ``lr_decay_factor`` after every
     ``lr_patience`` consecutive epochs without validation improvement;
     training stops after ``patience`` such epochs, or on divergence, always
-    returning the best-validation checkpoint seen.  A train or valid part with
-    no cascade of 2 or more nodes has no prediction point and raises ValueError.
+    returning the best-validation checkpoint seen.  Before the first epoch,
+    each train and valid cascade is checked whole (``model._node_indices``),
+    then cut to its first ``max_len`` nodes: a bad node anywhere, or a part with
+    no cascade of 2 or more nodes (no prediction point), raises ValueError.
     """
-    for part in ("train", "valid"):
-        if not any(len(c) >= 2 for c in getattr(split, part)):
-            raise ValueError(f"the {part} part holds no cascade of 2 or more nodes, so no prediction point")
-
     init_rng = RngState.derive(config.seed, "init")
     gumbel_rng = RngState.derive(config.seed, "gumbel")
     dropout_rng = RngState.derive(config.seed, "dropout")
     shuffle_rng = RngState.derive(config.seed, "shuffle")
 
     params = init_params(num_nodes, config.d, config.k, init_rng)
+    train_part, valid_part = ([_node_indices(params, c)[:config.max_len] for c in part]
+                              for part in (split.train, split.valid))
+    for name, part in (("train", train_part), ("valid", valid_part)):
+        if not any(len(c) >= 2 for c in part):
+            raise ValueError(f"the {name} part holds no cascade of 2 or more nodes, so no prediction point")
     gumbel = GumbelConfig(tau=config.tau, rng=gumbel_rng) if config.gumbel_enabled else None
     opt = OptimizerState.for_params(params, lr=config.lr_init)
 
@@ -173,9 +178,8 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        order = shuffle_rng.permutation(len(split.train))
-        ordered = [split.train[i] for i in order]
-        batches = make_batches(ordered, config.batch_size, config.max_len)
+        order = shuffle_rng.permutation(len(train_part))
+        batches = make_batches([train_part[i] for i in order], config.batch_size)
 
         loss_sum, step_count = 0.0, 0
         try:
@@ -185,7 +189,7 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
                     continue
                 for losses in batch_loss(params, batch, 1.0 / batch_steps, gumbel, config.dropout_rate, dropout_rng):
                     loss_sum += float(losses.sum())
-                    step_count += len(losses)
+                step_count += batch_steps
                 clip_gradients(params, config.clip_norm)
                 adam_step(opt, params)
         except NonFiniteGradientError as err:
@@ -193,8 +197,8 @@ def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResu
             stopped = f"nan_gradient:{err.param_name}"
             break
 
-        train_loss = loss_sum / max(step_count, 1)
-        valid_loss = mean_step_loss(params, split.valid, config.max_len)
+        train_loss = loss_sum / step_count
+        valid_loss = mean_step_loss(params, valid_part)
         stats.append(EpochStats(epoch, train_loss, valid_loss, opt.lr, time.perf_counter() - t0))
         log.info(
             "epoch %d  train %.4f  valid %.4f  lr %.2e  (%.1fs)",

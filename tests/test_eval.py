@@ -149,8 +149,8 @@ def _prefix_ranks(params, cascades):
 
 
 def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkeypatch):
-    # lengths 1, 2 and 3-12, and one cascade of 230 nodes that make_batches'
-    # default max_len of 200 would cut: ten live rows, the longest with 229 points.
+    # lengths 1, 2 and 3-12, and one cascade of 230 nodes, longer than training's default
+    # max_len of 200, which evaluation never cuts: ten live rows, the longest with 229 points.
     # Each group and chunk is cut from its own rows: the five short rows before the
     # long one share one group and one chunk, and the long one's group holds it and
     # the next three, two per chunk

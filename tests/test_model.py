@@ -6,7 +6,7 @@ import pytest
 
 from casdis import model as md
 from casdis import training as tr
-from casdis.data import make_batches
+from casdis.data import DatasetSplit
 from casdis.numerics import RngState, sigmoid
 
 from finite_difference import finite_difference_gradient
@@ -339,11 +339,14 @@ def test_forward_rejects_bad_indices():
     lambda params, cascade: md.batch_loss(params, [[0, 1], cascade], 1.0),
     lambda params, cascade: list(md.batch_scores(params, [[0, 1], cascade])),
     lambda params, cascade: tr.mean_step_loss(params, [[0, 1], cascade]),
-], ids=["forward_cascade", "prefix_scores", "predict_topn", "batch_loss", "batch_scores", "mean_step_loss"])
-@pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False], 3],
-                         ids=["fraction", "whole-float", "nested", "bool", "scalar"])
+    lambda params, cascade: tr.train(tr.TrainConfig(max_epochs=1, k=params.factors, d=params.dim),
+                                     DatasetSplit(train=[[0, 1], cascade], valid=[[1, 0]], test=[], split_seed=0),
+                                     params.num_nodes),
+], ids=["forward_cascade", "prefix_scores", "predict_topn", "batch_loss", "batch_scores", "mean_step_loss", "train"])
+@pytest.mark.parametrize("cascade", [[1.7, 2.2], [1.0, 2.0], [[1, 2], [3, 4]], [True, False], 3, ["1", "2"]],
+                         ids=["fraction", "whole-float", "nested", "bool", "scalar", "digit-strings"])
 def test_cascade_calls_refuse_anything_but_a_flat_list_of_node_indices(call, cascade):
-    # truncating a float index would silently score another node
+    # truncating a float index or parsing a digit string would silently score another node
     with pytest.raises(ValueError, match="flat sequence of integer node indices"):
         call(small_params(), cascade)
 
@@ -461,10 +464,9 @@ def test_batch_without_weight_leaves_gradients_alone():
 
 
 def test_batch_takes_plain_lists():
-    # a batch is any list of cascades: raw lists and make_batches' arrays give the same bits
+    # a batch is any list of cascades: raw lists and integer arrays give the same bits
     params = _batch_params()
-    (arrays,) = make_batches(BATCH_CASCADES, len(BATCH_CASCADES))
-    assert all(isinstance(c, np.ndarray) for c in arrays)
+    arrays = [np.asarray(c) for c in BATCH_CASCADES]
     runs = []
     for batch in (BATCH_CASCADES, arrays):
         params.reset_gradients()
@@ -672,6 +674,10 @@ def test_predict_validations():
         md.predict_topn(params, [], 3)
     with pytest.raises(ValueError):
         md.predict_topn(params, [0], 7)
+    # numpy's partition would refuse these with a TypeError
+    for n in (2.5, np.float64(3.0)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            md.predict_topn(params, [1, 2], n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -160,3 +161,117 @@ def test_validation_recurrence_stays_within_its_group_bound(monkeypatch):
             steps += len(losses)
         start += rows
     assert start == len(cascades) and loss == total / steps
+
+
+def _train_run(config, split, num_nodes):
+    """A run's log without wall times, and its parameter bytes."""
+    result = tr.train(config, split, num_nodes)
+    log = [(s.epoch, s.train_loss, s.valid_loss, s.lr) for s in result.log]
+    return log, result.stopped, [p.data.tobytes() for p in result.params.parameters()]
+
+
+def test_training_runs_on_the_first_max_len_nodes_of_each_cascade():
+    # a 230-node cascade in each part: train cuts it to max_len once, before the first
+    # epoch, so the run is the one on a split cut by hand, and not the one on the whole cascade
+    rng = np.random.default_rng(36)
+    train, valid = ([rng.integers(0, 20, size=n).tolist() for n in sizes] for sizes in ((230, 5, 9, 3, 12), (4, 230, 7)))
+    config = tr.TrainConfig(max_epochs=2, k=2, d=4, batch_size=2)
+    split = dt.DatasetSplit(train=train, valid=valid, test=[], split_seed=0)
+    by_hand = dt.DatasetSplit(train=[c[:200] for c in train], valid=[c[:200] for c in valid], test=[], split_seed=0)
+    assert config.max_len == 200
+    want = _train_run(config, by_hand, 20)
+    assert _train_run(config, split, 20) == want
+    assert _train_run(dataclasses.replace(config, max_len=230), split, 20) != want
+
+
+@pytest.mark.parametrize("at", [1, 210], ids=["within-max_len", "past-max_len"])
+@pytest.mark.parametrize("part", ["train", "valid"])
+def test_a_bad_node_anywhere_in_either_part_stops_training_before_any_update(monkeypatch, part, at):
+    # every cascade is checked whole before the first epoch, so a node index outside [0, N)
+    # refuses the run before a training batch runs, even past max_len, where the cut drops it
+    calls, batch_loss = [], tr.batch_loss
+
+    def spy(params, batch, weight, *args):
+        if weight is not None:
+            calls.append(weight)
+        return batch_loss(params, batch, weight, *args)
+
+    monkeypatch.setattr(tr, "batch_loss", spy)
+    rng = np.random.default_rng(37)
+    parts = {"train": [rng.integers(0, 6, size=n).tolist() for n in (5, 3, 7, 4)], "valid": [[2, 0, 1], [4, 5]]}
+    bad = rng.integers(0, 6, size=230).tolist()
+    bad[at] = 6
+    parts[part].append(bad)
+    split = dt.DatasetSplit(**parts, test=[], split_seed=0)
+    with pytest.raises(ValueError, match=r"node index outside \[0, 6\)"):
+        tr.train(tr.TrainConfig(max_epochs=2, k=2, d=4, batch_size=2), split, 6)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the optimizer
+
+
+def _params_with_gradients(seed):
+    params = md.init_params(5, 3, 2, RngState(seed))
+    rng = np.random.default_rng(seed)
+    for p in params.parameters():
+        p.grad[...] = rng.normal(size=p.grad.shape)
+    return params
+
+
+def test_adam_step_is_the_bias_corrected_update_and_resets_the_gradients():
+    params = _params_with_gradients(38)
+    opt = tr.OptimizerState.for_params(params, lr=0.01)
+    want = {name: p.data.copy() for name, p in params.named_parameters()}
+    m = {name: 0.0 for name in want}
+    v = {name: 0.0 for name in want}
+    rng = np.random.default_rng(39)
+    for step in (1, 2):
+        for name, p in params.named_parameters():
+            g = p.grad.copy()
+            m[name] = 0.9 * m[name] + 0.1 * g
+            v[name] = 0.999 * v[name] + 0.001 * g * g
+            m_hat, v_hat = m[name] / (1 - 0.9 ** step), v[name] / (1 - 0.999 ** step)
+            want[name] = want[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        tr.adam_step(opt, params)
+        assert opt.step == step and all((p.grad == 0.0).all() for p in params.parameters())
+        for name, p in params.named_parameters():
+            np.testing.assert_allclose(p.data, want[name], rtol=1e-12, atol=0, err_msg=name)
+            p.grad[...] = rng.normal(size=p.grad.shape)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf], ids=str)
+def test_adam_step_refuses_a_non_finite_gradient_and_moves_no_parameter(poison):
+    params = _params_with_gradients(40)
+    opt = tr.OptimizerState.for_params(params, lr=0.01)
+    before = [p.data.copy() for p in params.parameters()]
+    params.b_r.grad[1] = poison
+    with pytest.raises(tr.NonFiniteGradientError, match="'b_r'") as err:
+        tr.adam_step(opt, params)
+    assert err.value.param_name == "b_r" and opt.step == 0
+    assert all(np.array_equal(p.data, b) for p, b in zip(params.parameters(), before))
+
+
+def _gradient_norm(params):
+    return math.sqrt(sum(float((p.grad ** 2).sum()) for p in params.parameters()))
+
+
+def test_clip_gradients_scales_a_larger_norm_down_to_max_norm():
+    params = _params_with_gradients(41)
+    norm = _gradient_norm(params)
+    before = [p.grad.copy() for p in params.parameters()]
+    assert norm > 1.0
+    assert tr.clip_gradients(params, 1.0) == norm
+    assert math.isclose(_gradient_norm(params), 1.0, rel_tol=1e-12)
+    for p, b in zip(params.parameters(), before):
+        np.testing.assert_allclose(p.grad, b / norm, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("max_norm", [0.0, "norm", 1e6], ids=["off", "at-the-norm", "above-the-norm"])
+def test_clip_gradients_leaves_a_norm_within_max_norm_alone(max_norm):
+    params = _params_with_gradients(42)
+    norm = _gradient_norm(params)
+    before = [p.grad.copy() for p in params.parameters()]
+    assert tr.clip_gradients(params, norm if max_norm == "norm" else max_norm) == norm
+    assert all(np.array_equal(p.grad, b) for p, b in zip(params.parameters(), before))
