@@ -11,19 +11,19 @@ softmax loss.
 The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``:
 ``_recurrence`` (embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm)
 on a padded block of cascades, then scoring and loss one cascade at a time (``_score_rows``,
-``_row_loss``); ``_recurrence_backward``, ``_head_backward`` and ``_score_rows_backward`` are
-its closed-form derivative.  A batch is a plain list of cascades.  ``_chunks`` runs the
-recurrence per group of consecutive cascades and the O(L^2) head per chunk of a group, each
-cut from its own cascades' lengths, and hands the cascades to ``batch_loss`` (training,
-validation) and ``batch_scores`` (evaluation) one at a time; it is the one place that pads,
-once per group.  The B=1 calls run ``_recurrence`` and ``_head`` on one row themselves.
-Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a ``GumbelConfig`` is given; only
-the public ``forward_cascade`` has a ``training`` switch, which turns both off.  Tests pin
-the model to a numpy oracle and finite differences.
+``_row_loss``).  Each stage returns its output and its closed-form backward, a closure over
+the forward's intermediates; the callers compose the closures.  A batch is a plain list of
+cascades.  ``_chunks`` runs the recurrence per group of consecutive cascades and the O(L^2)
+head per chunk of a group, each cut from its own cascades' lengths, and hands the cascades to
+``batch_loss`` (training, validation) and ``batch_scores`` (evaluation) one at a time; it is
+the one place that pads, once per group.  The B=1 calls run ``_recurrence`` and ``_head`` on
+one row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
+``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training`` switch,
+which turns both off.  Tests pin the model to a numpy oracle and finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
-``forward_cascade``) builds the index of that factor for the backward; evaluation,
+``forward_cascade``) builds the index of that factor, held by its backward; evaluation,
 ``prefix_scores``/``predict_topn`` and validation build none.
 """
 
@@ -35,7 +35,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -184,12 +183,11 @@ class CascadeForward:
 
 def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, dropout_rate: float,
                 dropout_rng: Optional[RngState]):
-    """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades.
-    Row b of the (B, L) ``positions`` holds a cascade in its first ``lengths[b]``
-    entries, then padding, so a padded step never feeds a real one.  Dropout
-    runs iff ``dropout_rate > 0``, its masks drawn one cascade at a time, in row
-    order.  The update and reset gates live in one (B, L, 2D) block; the returned
-    ``z`` and ``r`` are its halves."""
+    """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades, and
+    their backward.  Row b of the (B, L) ``positions`` holds a cascade in its first
+    ``lengths[b]`` entries, then padding, so a padded step never feeds a real one.
+    Dropout runs iff ``dropout_rate > 0``, its masks drawn one cascade at a time, in
+    row order.  The update and reset gates live in one (B, L, 2D) block."""
     (b, width), d = positions.shape, params.dim
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
@@ -215,17 +213,52 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
         z, r = gates[:, :d], gates[:, d:]
         np.tanh(np.add(c, (r * h) @ u_h, out=c), out=c)
         h = hidden[:, t] = (1.0 - z) * h + z * c
-    return SimpleNamespace(positions=positions, real=np.arange(width) < lengths[:, None], keep=keep,
-                           dropout_rate=dropout_rate, xe=xe, hidden=hidden, z=zr[..., :d], r=zr[..., d:], cand=cand)
+
+    def backward(d_hidden: np.ndarray) -> None:
+        """Add the gradient of sum(d_hidden * hidden), dropout held fixed, into the grads;
+        ``d_hidden`` is overwritten.  A padded step whose d_hidden is zero gets exactly zero
+        gradient, so only the table scatter skips padding."""
+        # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
+        u_z, u_r = params.u_z.data, params.u_r.data
+        d_az, d_ar, d_ah = d_hidden, np.empty((b, width, d)), np.empty((b, width, d))
+        carry = zeros = np.zeros((b, d))
+        for t in range(width - 1, -1, -1):
+            z, r, c = zr[:, t, :d], zr[:, t, d:], cand[:, t]
+            h_prev = hidden[:, t - 1] if t else zeros
+            dh = d_hidden[:, t] + carry
+            d_ah[:, t] = dh * z * (1.0 - c * c)
+            d_rh = d_ah[:, t] @ u_h.T
+            d_ar[:, t] = d_rh * h_prev * r * (1.0 - r)
+            d_az[:, t] = dh * (c - h_prev) * z * (1.0 - z)
+            carry = dh * (1.0 - z) + d_rh * r + d_ar[:, t] @ u_r.T + d_az[:, t] @ u_z.T
+
+        h_prev = np.concatenate([np.zeros((b, 1, d)), hidden[:, :-1]], axis=1).reshape(-1, d)
+        d_xe = np.zeros((b * width, d))
+        for gate, d_a in zip("zrh", (d_az, d_ar, d_ah)):
+            w, u, bias = (getattr(params, f"{kind}_{gate}") for kind in "wub")
+            d_a = d_a.reshape(-1, d)
+            u.grad += (zr[..., d:].reshape(-1, d) * h_prev if gate == "h" else h_prev).T @ d_a
+            w.grad += xe.reshape(-1, d).T @ d_a
+            bias.grad += d_a.sum(axis=0)
+            d_xe += d_a @ w.data.T
+        d_xe = d_xe.reshape(b, width, d)
+        if keep is not None:
+            d_xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
+        # rows repeat when a node recurs in a cascade: add.at accumulates them
+        real = np.arange(width) < lengths[:, None]
+        np.add.at(params.embeddings.grad, positions[real], d_xe[real])
+
+    return hidden, backward
 
 
 def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: Optional[GumbelConfig],
           rows=slice(None)):
     """Attention, factors, weighted mix and layer norm on the GRU states of B
-    cascades: ``ys[b, t]`` (B, L, K, D) is for the prefix of length t+1.  Gumbel
-    noise runs iff ``gumbel`` is given, drawn one cascade at a time, in row order;
-    attention sees the real keys i <= t.  ``rows`` (a slice or index array over the L positions) limits
-    attention, mix and layer norm to those prefixes, and then has no backward."""
+    cascades, and their backward: ``ys[b, t]`` (B, L, K, D) is for the prefix of
+    length t+1.  Gumbel noise runs iff ``gumbel`` is given, drawn one cascade at a
+    time, in row order; attention sees the real keys i <= t.  ``rows`` (a slice or
+    index array over the L positions) limits attention, mix and layer norm to those
+    prefixes, and then the backward must not be called."""
     width, d = hidden.shape[1], params.dim
     scale = 1.0 / math.sqrt(d)
     mask = np.tri(width, dtype=bool)[rows] & (np.arange(width) < lengths[:, None])[:, None, :]
@@ -248,86 +281,48 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     fh = (factors[..., None] * hidden[:, :, None, :]).reshape(factors.shape[:2] + (-1,))
     mixed = (attn @ fh).reshape(attn.shape[:2] + (params.factors, d))
     ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
-    return SimpleNamespace(hidden=hidden, attn=attn, unit_h=unit_h, norm_h=norm_h, unit_p=unit_p, norm_p=norm_p,
-                           factors=factors, factor_scale=scale / tau, xhat=xhat, inv=inv, ys=ys)
 
+    def backward(d_ys: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. ``hidden`` of sum(d_ys * ys), Gumbel noise held fixed; the
+        prototypes' and layer norm's shares go to their grads."""
+        # layer norm, then the weighted mix out = attn @ fh
+        params.ln_gain.grad += (d_ys * xhat).sum(axis=(0, 1, 2))
+        params.ln_bias.grad += d_ys.sum(axis=(0, 1, 2))
+        d_mixed = layer_norm_rows_backward(xhat, inv, params.ln_gain.data, d_ys).reshape(fh.shape)
+        d_attn = d_mixed @ fh.transpose(0, 2, 1)
+        d_fh = (attn.transpose(0, 2, 1) @ d_mixed).reshape(d_ys.shape)
+        del d_mixed  # each stage frees its (B, L, K*D) intermediates when done
+        d_factors = np.einsum("bikd,bid->bik", d_fh, hidden)
+        d_hidden = np.einsum("bikd,bik->bid", d_fh, factors)
+        del d_fh
 
-def _head_backward(params: ModelParams, c: SimpleNamespace, d_ys: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. ``hidden`` of sum(d_ys * ys) for one ``_head`` call ``c``,
-    Gumbel noise held fixed; the prototypes' and layer norm's shares go to their grads."""
-    b, width, d = c.hidden.shape
-    scale = 1.0 / math.sqrt(d)
+        # factor softmax over scaled cosines, then the cosine through the norm clamp
+        d_cos = scale / tau * softmax_rows_backward(factors, d_factors)
+        d_hidden += unit_rows_backward(unit_h, norm_h, d_cos @ unit_p)
+        params.prototypes.grad += unit_rows_backward(
+            unit_p, norm_p, d_cos.reshape(-1, params.factors).T @ unit_h.reshape(-1, d))
 
-    # layer norm, then the weighted mix out = attn @ fh (see _head)
-    params.ln_gain.grad += (d_ys * c.xhat).sum(axis=(0, 1, 2))
-    params.ln_bias.grad += d_ys.sum(axis=(0, 1, 2))
-    d_mixed = layer_norm_rows_backward(c.xhat, c.inv, params.ln_gain.data, d_ys).reshape(b, width, -1)
-    fh = (c.factors[..., None] * c.hidden[:, :, None, :]).reshape(b, width, -1)
-    d_attn = d_mixed @ fh.transpose(0, 2, 1)
-    d_fh = (c.attn.transpose(0, 2, 1) @ d_mixed).reshape(d_ys.shape)
-    del d_mixed, fh  # each stage frees its (B, L, K*D) intermediates when done
-    d_factors = np.einsum("bikd,bid->bik", d_fh, c.hidden)
-    d_hidden = np.einsum("bikd,bik->bid", d_fh, c.factors)
-    del d_fh
+        # causal attention over hidden @ hidden.T; masked entries have p = 0
+        d_logits = scale * softmax_rows_backward(attn, d_attn)
+        d_hidden += d_logits @ hidden + d_logits.transpose(0, 2, 1) @ hidden
+        return d_hidden
 
-    # factor softmax over scaled cosines, then the cosine through the norm clamp
-    d_cos = c.factor_scale * softmax_rows_backward(c.factors, d_factors)
-    d_hidden += unit_rows_backward(c.unit_h, c.norm_h, d_cos @ c.unit_p)
-    params.prototypes.grad += unit_rows_backward(
-        c.unit_p, c.norm_p, d_cos.reshape(-1, params.factors).T @ c.unit_h.reshape(-1, d))
-
-    # causal attention over hidden @ hidden.T; masked entries have p = 0
-    d_logits = scale * softmax_rows_backward(c.attn, d_attn)
-    d_hidden += d_logits @ c.hidden + d_logits.transpose(0, 2, 1) @ c.hidden
-    return d_hidden
-
-
-def _recurrence_backward(params: ModelParams, g: SimpleNamespace, d_hidden: np.ndarray) -> None:
-    """Add the gradient of sum(d_hidden * hidden), for one ``_recurrence`` call
-    ``g`` with dropout held fixed, into the grads; ``d_hidden`` is overwritten.  A padded
-    step whose d_hidden is zero gets exactly zero gradient, so only the table scatter skips padding."""
-    b, width, d = g.hidden.shape
-    # GRU backprop through time: h_t = (1 - z) h_{t-1} + z cand
-    u_z, u_r, u_h = params.u_z.data, params.u_r.data, params.u_h.data
-    d_az, d_ar, d_ah = d_hidden, np.empty((b, width, d)), np.empty((b, width, d))
-    carry = zeros = np.zeros((b, d))
-    for t in range(width - 1, -1, -1):
-        z, r, cand = g.z[:, t], g.r[:, t], g.cand[:, t]
-        h_prev = g.hidden[:, t - 1] if t else zeros
-        dh = d_hidden[:, t] + carry
-        d_ah[:, t] = dh * z * (1.0 - cand * cand)
-        d_rh = d_ah[:, t] @ u_h.T
-        d_ar[:, t] = d_rh * h_prev * r * (1.0 - r)
-        d_az[:, t] = dh * (cand - h_prev) * z * (1.0 - z)
-        carry = dh * (1.0 - z) + d_rh * r + d_ar[:, t] @ u_r.T + d_az[:, t] @ u_z.T
-
-    h_prev = np.concatenate([np.zeros((b, 1, d)), g.hidden[:, :-1]], axis=1).reshape(-1, d)
-    d_xe = np.zeros((b * width, d))
-    for gate, d_a in zip("zrh", (d_az, d_ar, d_ah)):
-        w, u, bias = (getattr(params, f"{kind}_{gate}") for kind in "wub")
-        d_a = d_a.reshape(-1, d)
-        u.grad += (g.r.reshape(-1, d) * h_prev if gate == "h" else h_prev).T @ d_a
-        w.grad += g.xe.reshape(-1, d).T @ d_a
-        bias.grad += d_a.sum(axis=0)
-        d_xe += d_a @ w.data.T
-    d_xe = d_xe.reshape(b, width, d)
-    if g.keep is not None:
-        d_xe *= np.where(g.keep, 1.0 / (1.0 - g.dropout_rate), 0.0)
-    # rows repeat when a node recurs in a cascade: add.at accumulates them
-    np.add.at(params.embeddings.grad, g.positions[g.real], d_xe[g.real])
+    return ys, backward
 
 
 def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
     """Scores (t, N) of one cascade's candidate states ``ys`` (t, K, D), each
-    candidate by its best factor, and, if ``grad``, the (t, 1, N) index of that
-    factor that ``_score_rows_backward`` routes by (else None).
+    candidate by its best factor, and, if ``grad``, their backward (else None):
+    it maps d_scores (t, N) to the gradient w.r.t. ``ys`` of sum(d_scores * scores),
+    and adds the embedding table's share into its grad.
 
     The max over K runs on the unscaled product, and only the (t, N) maximum is
     scaled by 1/sqrt(D).  Rounding c*x for c > 0 is monotone, so the scores are
-    max_k fl(c x_k) bit for bit, NaN included, without a (t, K, N) scale pass;
-    the index is the first factor of the unscaled maximum."""
-    d = params.dim
-    table = params.embeddings.data[:params.num_nodes]
+    max_k fl(c x_k) bit for bit, NaN included, without a (t, K, N) scale pass.
+    The backward routes each score's gradient to the first factor of the unscaled
+    maximum, zero to the others; only a call with ``grad`` builds that factor's index."""
+    n, d = params.num_nodes, params.dim
+    table = params.embeddings.data[:n]
     # one GEMM, not dot_rows: the benchmark's tracer sizes a scoring-stage
     # dot_rows call from its arguments' .data.  The fresh maximum is scaled in place.
     per_factor = (ys.reshape(-1, d) @ table.T).reshape(ys.shape[:2] + (-1,))  # (t, K, N)
@@ -341,24 +336,22 @@ def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
             np.maximum(best, np.multiply(per_factor[:, k] > top, k, dtype=best.dtype), out=best)
         np.maximum(top, per_factor[:, k], out=top)
     top *= 1.0 / math.sqrt(d)
-    return top, best[:, None] if grad else None
+    if not grad:
+        return top, None
 
+    def backward(d_scores: np.ndarray) -> np.ndarray:
+        routed = best[:, None] == np.arange(params.factors, dtype=best.dtype)[:, None]
+        d_pf = routed * (d_scores * (1.0 / math.sqrt(d)))[:, None, :]
+        params.embeddings.grad[:n] += (ys.reshape(-1, d).T @ d_pf.reshape(-1, n)).T
+        return (d_pf.reshape(-1, n) @ table).reshape(ys.shape)
 
-def _score_rows_backward(params: ModelParams, ys: np.ndarray, best: np.ndarray, d_scores: np.ndarray):
-    """Gradient w.r.t. ``ys`` of sum(d_scores * scores) for one ``_score_rows``
-    call; the embedding table's share goes into its grad.  The max over K
-    routes each score's gradient to factor ``best``, zero to the others."""
-    n, d = params.num_nodes, params.dim
-    routed = best == np.arange(params.factors, dtype=best.dtype)[:, None]
-    d_pf = routed * (d_scores * (1.0 / math.sqrt(d)))[:, None, :]
-    params.embeddings.grad[:n] += (ys.reshape(-1, d).T @ d_pf.reshape(-1, n)).T
-    return (d_pf.reshape(-1, n) @ params.embeddings.data[:n]).reshape(ys.shape)
+    return top, backward
 
 
 def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bool):
     """Step losses of one cascade from its candidate states ``ys`` and targets,
     and, if ``grad``, the function of a weight g that gives g d(sum)/d(ys) (else None)."""
-    scores, best = _score_rows(params, ys, grad)
+    scores, score_backward = _score_rows(params, ys, grad)
     steps = np.arange(len(targets))
     mx = scores.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
@@ -369,7 +362,7 @@ def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bo
     def backward(g):
         d_scores = np.exp(scores - lse) * g
         d_scores[steps, targets] -= g
-        return _score_rows_backward(params, ys, best, d_scores)
+        return score_backward(d_scores)
 
     return losses, backward
 
@@ -413,20 +406,22 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
         positions = np.full((len(rows), int(lengths.max())), params.pad_index)
         for i, (row, t) in enumerate(zip(rows, lengths)):
             positions[i, :t] = cascades[row][:t]
-        g = _recurrence(params, positions, lengths, dropout_rate, dropout_rng)
-        d_hidden = np.zeros(g.hidden.shape) if grad else None
+        hidden, gru_backward = _recurrence(params, positions, lengths, dropout_rate, dropout_rng)
+        d_hidden = np.zeros(hidden.shape) if grad else None
         for chunk in _runs(lengths, _CHUNK_ELEMENTS, lambda w: w * (w + params.factors * params.dim)):
             reach = int(lengths[chunk].max())
-            c = _head(params, g.hidden[chunk, :reach], lengths[chunk], gumbel)
-            d_ys = np.zeros(c.ys.shape) if grad else None
+            ys, head_backward = _head(params, hidden[chunk, :reach], lengths[chunk], gumbel)
+            if not grad:
+                head_backward = None  # evaluation keeps none of the head's intermediates
+            d_ys = np.zeros(ys.shape) if grad else None
             for j, (row, t) in enumerate(zip(rows[chunk], lengths[chunk])):
-                yield int(row), c.ys[j, :t], d_ys[j, :t] if grad else None
+                yield int(row), ys[j, :t], d_ys[j, :t] if grad else None
             if grad:
-                d_hidden[chunk, :reach] = _head_backward(params, c, d_ys)
-            del c, d_ys  # the next chunk runs without this one's intermediates
+                d_hidden[chunk, :reach] = head_backward(d_ys)
+            del ys, d_ys, head_backward  # the next chunk runs without this one's intermediates
         if grad:
-            _recurrence_backward(params, g, d_hidden)
-        del g, d_hidden
+            gru_backward(d_hidden)
+        del hidden, gru_backward, d_hidden
 
 
 def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
@@ -480,11 +475,10 @@ def forward_cascade(
         raise ValueError(f"cascade of length {len(idx)} has no prediction point")
 
     lengths = np.array([len(idx) - 1])
-    gru = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)
-    c = _head(params, gru.hidden, lengths, gumbel)
-    steps, score_backward = _row_loss(params, c.ys[0], idx[1:], grad=True)
-    loss = Tensor(steps.sum(),
-                  lambda g: _recurrence_backward(params, gru, _head_backward(params, c, score_backward(g)[None])))
+    hidden, gru_backward = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)
+    ys, head_backward = _head(params, hidden, lengths, gumbel)
+    steps, score_backward = _row_loss(params, ys[0], idx[1:], grad=True)
+    loss = Tensor(steps.sum(), lambda g: gru_backward(head_backward(score_backward(g)[None])))
     return CascadeForward(loss=loss, step_losses=steps)
 
 
@@ -495,8 +489,9 @@ def _eval_scores(params: ModelParams, prefix: Sequence[int], rows=slice(None)) -
     if len(idx) < 1:
         raise ValueError("prefix must contain at least one node")
     lengths = np.array([len(idx)])
-    hidden = _recurrence(params, idx[None], lengths, 0.0, None).hidden
-    return _score_rows(params, _head(params, hidden, lengths, None, rows).ys[0], grad=False)[0]
+    hidden, _ = _recurrence(params, idx[None], lengths, 0.0, None)
+    ys, _ = _head(params, hidden, lengths, None, rows)
+    return _score_rows(params, ys[0], grad=False)[0]
 
 
 def prefix_scores(params: ModelParams, prefix: Sequence[int]) -> np.ndarray:

@@ -91,23 +91,16 @@ class Tensor:
 
     __slots__ = ("data", "_backward")
 
-    def __init__(self, data, backward: Callable[[np.ndarray], None]):
+    def __init__(self, data, backward: Callable[[float], None]):
         self.data = np.asarray(data, dtype=np.float64)
         self._backward = backward
 
     def backward(self, grad=1.0) -> None:
-        """Add the gradient, seeded with ``grad``, into the parameters.
-
-        Repeated calls keep adding (gradient accumulation); call
-        ``Parameter.reset_gradient`` to clear.
-        """
-        if np.isscalar(grad):
-            g0 = np.full(self.data.shape, float(grad))
-        else:
-            g0 = np.asarray(grad, dtype=np.float64)
-            if g0.shape != self.data.shape:
-                raise ValueError(f"seed gradient shape {g0.shape} != {self.data.shape}")
-        self._backward(g0)
+        """Add the gradient, seeded with the scalar ``grad``, into the parameters.  Repeated
+        calls keep adding (gradient accumulation); ``Parameter.reset_gradient`` clears."""
+        if np.ndim(grad):
+            raise ValueError(f"the seed gradient must be a scalar, got shape {np.shape(grad)}")
+        self._backward(float(grad))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"

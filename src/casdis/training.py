@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -48,6 +49,10 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "lr_patience", "k", "d", "max_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0 < self.lr_init < math.inf or self.batch_size < 1 or self.max_epochs < 0:  # also refuses NaN
             raise ValueError("lr_init must be finite and positive, batch_size and max_epochs positive")
         if not 0.0 < self.lr_decay_factor < 1.0:

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,13 +208,28 @@ def test_gradients_match_finite_differences(factors, cascade, tau, dropout):
     check_gradients(build, params.parameters(), seed=0.3)
 
 
+def _routed_gradients(params, ys, first, d_scores):
+    """The gradients w.r.t. ``ys`` and the table of sum(d_scores * scores) when the gradient
+    of the score of node n at step t goes to factor ``first[t, n]`` alone."""
+    n, d = params.num_nodes, params.dim
+    d_pf = np.zeros(ys.shape[:2] + (n,))
+    np.put_along_axis(d_pf, first[:, None], (d_scores * (1.0 / math.sqrt(d)))[:, None], axis=1)
+    d_ys = (d_pf.reshape(-1, n) @ params.embeddings.data[:n]).reshape(ys.shape)
+    return d_ys, (ys.reshape(-1, d).T @ d_pf.reshape(-1, n)).T
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("factors", [1, 2, 3, 4, 300])
 @pytest.mark.parametrize("data", ["dyadic", "normal", "nan"])
 def test_scores_equal_the_max_of_the_scaled_product(factors, data):
     # max-then-scale against scale-then-max: D = 6 makes the scale 1/sqrt(6) round,
     # dyadic candidates and table tie exactly across factors and nodes, and a NaN
-    # in a candidate or a table row must reach the same scores, with or without the index.
-    # At K = 300 the index needs more than 8 bits
+    # in a candidate or a table row must reach the same scores, with or without a gradient.
+    # The backward routes each score's gradient to the first factor of the maximum; at
+    # K = 300 that factor's index needs more than 8 bits
     rng = np.random.default_rng(42 + factors)
     params = small_params(num_nodes=40, dim=6, factors=factors, seed=42 + factors)
     if data == "normal":
@@ -228,20 +242,23 @@ def test_scores_equal_the_max_of_the_scaled_product(factors, data):
         params.embeddings.data[5, 0] = np.nan
     per_factor = (ys.reshape(-1, 6) @ params.embeddings.data[:40].T).reshape(9, factors, 40)
     want = np.max(per_factor * (1.0 / math.sqrt(6)), axis=1)
-    scores, best = md._score_rows(params, ys, True)
+    scores, backward = md._score_rows(params, ys, True)
     plain, none = md._score_rows(params, ys, False)
-    assert none is None and best.shape == (9, 1, 40)
+    assert none is None
     assert np.array_equal(scores, want, equal_nan=True) and np.array_equal(plain, want, equal_nan=True)
-    real = ~np.isnan(per_factor).any(axis=1)
-    assert best.dtype == np.min_scalar_type(factors - 1)
-    assert np.array_equal(best[:, 0][real], np.argmax(per_factor, axis=1)[real])
-    if data == "normal" and factors > 256:
-        assert (best > 255).any()
     if data == "dyadic":
         assert (np.diff(np.sort(plain, axis=1), axis=1) == 0).any(axis=1).all()
     if data == "nan":
         assert np.isnan(plain[2]).all() and np.isnan(plain[:, 5]).all()
         assert np.isfinite(np.delete(np.delete(plain, 2, axis=0), 5, axis=1)).all()
+        return  # the NaN table row makes every entry of d_ys NaN, so the routing is read off the other data
+    first = np.argmax(per_factor, axis=1)
+    if factors > 256:
+        assert (first > 255).any()
+    params.reset_gradients()
+    d_scores = rng.normal(size=scores.shape)
+    want_ys, want_table = _routed_gradients(params, ys, first, d_scores)
+    assert _close(backward(d_scores), want_ys) and _close(params.embeddings.grad[:40], want_table)
 
 
 def test_backward_routes_to_the_unscaled_maximum_when_the_scaled_values_tie():
@@ -254,25 +271,11 @@ def test_backward_routes_to_the_unscaled_maximum_when_the_scaled_values_tie():
     params.embeddings.data[:5] = np.eye(6)[0]
     ys = np.zeros((3, 2, 6))
     ys[:, 0, 0], ys[:, 1, 0] = x, np.nextafter(x, np.inf)
-    scores, best = md._score_rows(params, ys, True)
-    assert (scores == scale * x).all() and (best == 1).all()
+    scores, backward = md._score_rows(params, ys, True)
+    assert (scores == scale * x).all()
     params.reset_gradients()
-    d_ys = md._score_rows_backward(params, ys, best, np.ones(scores.shape))
+    d_ys = backward(np.ones(scores.shape))
     assert (d_ys[:, 0] == 0).all() and (d_ys[:, 1, 0] != 0).all()
-
-
-def _eval_block(params, prefix, rows=slice(None)):
-    """Evaluation-mode ``_recurrence`` and ``_head`` intermediates of one prefix."""
-    prefix, lengths = np.asarray(prefix), np.array([len(prefix)])
-    gru = md._recurrence(params, prefix[None], lengths, 0.0, None)
-    return gru, md._head(params, gru.hidden, lengths, None, rows)
-
-
-def _gradients(params, gru, head, best, d_scores):
-    params.reset_gradients()
-    d_ys = md._score_rows_backward(params, head.ys[0], best, d_scores)
-    md._recurrence_backward(params, gru, md._head_backward(params, head, d_ys[None]))
-    return [p.grad.copy() for p in params.parameters()]
 
 
 @pytest.mark.parametrize("factors", [2, 3])
@@ -281,27 +284,28 @@ def test_backward_routes_exact_ties_to_the_first_factor(factors):
     # candidate exactly alike, so finite differences cannot pin the routing
     params = small_params(num_nodes=9, dim=4, factors=factors, seed=40 + factors)
     params.prototypes.data[1] = params.prototypes.data[0]
-    gru, head = _eval_block(params, [3, 0, 7, 3, 5, 1])
-    scores, best = md._score_rows(params, head.ys[0], True)
+    prefix, lengths = np.array([3, 0, 7, 3, 5, 1]), np.array([6])
+    hidden, gru_backward = md._recurrence(params, prefix[None], lengths, 0.0, None)
+    ys, head_backward = md._head(params, hidden, lengths, None)
+    scores, score_backward = md._score_rows(params, ys[0], True)
     d_scores = np.random.default_rng(41).normal(size=scores.shape)
 
     # reference: the first argmax of the (t, K, N) products gets the gradient
-    ys = head.ys[0]
-    table = params.embeddings.data[:params.num_nodes]
-    per_factor = (ys.reshape(-1, params.dim) @ table.T).reshape(ys.shape[:2] + (-1,))
+    per_factor = (ys[0].reshape(-1, params.dim) @ params.embeddings.data[:9].T).reshape(ys.shape[1:3] + (9,))
     assert (per_factor[:, 0] == per_factor[:, 1]).all()
-    first = np.expand_dims(np.argmax(per_factor, axis=1), 1)
+    first = np.argmax(per_factor, axis=1)
     assert (first == 0).any() and (first != 1).all()
-    d_pf = np.zeros(per_factor.shape)
-    np.put_along_axis(d_pf, first, d_scores[:, None, :], axis=1)
-    # each factor's share of that routing, pushed through the backward on its own
-    expect = [np.zeros_like(p.data) for p in params.parameters()]
-    for k in range(factors):
-        for total, grad in zip(expect, _gradients(params, gru, head, np.full_like(best, k), d_pf[:, k])):
-            total += grad
+    d_ys, d_table = _routed_gradients(params, ys[0], first, d_scores)
+    params.reset_gradients()
+    params.embeddings.grad[:9] += d_table
+    gru_backward(head_backward(d_ys[None]))
+    want = [p.grad.copy() for p in params.parameters()]
 
-    for p, got, want in zip(params.parameters(), _gradients(params, gru, head, best, d_scores), expect):
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), p.name
+    # the stages' own backward, composed as forward_cascade composes them
+    params.reset_gradients()
+    gru_backward(head_backward(score_backward(d_scores)[None]))
+    for p, w in zip(params.parameters(), want):
+        assert _close(p.grad, w), p.name
 
 
 # ---------------------------------------------------------------------------
@@ -545,25 +549,30 @@ def test_batch_groups_equal_one_group(monkeypatch):
 
 
 def test_bool_dropout_mask_scales_like_the_float_mask():
-    # distinct nodes, so the embedding grad of each real position is its d_xe
+    # distinct nodes, so a table holding each node's masked row replays the dropout
+    # run without dropout, and the embedding grad of each real position is its d_xe
     params = small_params(num_nodes=9, dim=4, factors=2, seed=60)
     pad = params.pad_index
     positions = np.array([[0, 1, 2, 3, 4], [5, 6, 7, pad, pad]])
     lengths, rate = np.array([5, 3]), 0.3
-    g = md._recurrence(params, positions, lengths, rate, RngState(8))
+    real = np.arange(5) < lengths[:, None]
     draws, mask = RngState(8), np.zeros((2, 5, 4))
     for i, t in enumerate(lengths):
         mask[i, :t] = (draws.uniform((t, 4)) >= rate) / (1.0 - rate)
-    assert g.keep.dtype == bool and 0 < g.keep.sum() < g.real.sum() * 4
-    assert g.xe.tobytes() == (params.embeddings.data[positions] * mask).tobytes()
+    assert 0 < (mask[real] == 0).sum() < mask[real].size
+    hidden, backward = md._recurrence(params, positions, lengths, rate, RngState(8))
+    replay = params.clone()
+    replay.embeddings.data[positions[real]] *= mask[real]
+    plain, plain_backward = md._recurrence(replay, positions, lengths, 0.0, None)
+    assert hidden[real].tobytes() == plain[real].tobytes()
 
-    d_hidden = np.random.default_rng(9).normal(size=g.hidden.shape) * g.real[..., None]
+    d_hidden = np.random.default_rng(9).normal(size=hidden.shape) * real[..., None]
+    replay.reset_gradients()
+    plain_backward(d_hidden.copy())
     params.reset_gradients()
-    md._recurrence_backward(params, SimpleNamespace(**{**vars(g), "keep": None}), d_hidden.copy())
-    unmasked = params.embeddings.grad[positions[g.real]]
-    params.reset_gradients()
-    md._recurrence_backward(params, g, d_hidden.copy())
-    assert np.array_equal(params.embeddings.grad[positions[g.real]], unmasked * mask[g.real])
+    backward(d_hidden.copy())
+    unmasked = replay.embeddings.grad[positions[real]]
+    assert np.array_equal(params.embeddings.grad[positions[real]], unmasked * mask[real])
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -574,7 +583,7 @@ def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
     pad = params.pad_index
     positions = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, pad, pad, pad], [2, pad, pad, pad, pad, pad]])
     lengths = np.array([6, 3, 1])
-    g = md._recurrence(params, positions, lengths, rate, RngState(8))
+    got, _ = md._recurrence(params, positions, lengths, rate, RngState(8))
 
     xe = params.embeddings.data[positions]
     if rate:
@@ -590,8 +599,7 @@ def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
         r[:, t] = sigmoid(r[:, t] + h @ p["u_r"])
         cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ p["u_h"])
         h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
-    for name, expect in (("hidden", hidden), ("z", z), ("r", r), ("cand", cand)):
-        assert np.array_equal(getattr(g, name), expect), name
+    assert np.array_equal(got, hidden)
 
 
 def test_padded_batch_gradients_match_finite_differences():
@@ -642,7 +650,7 @@ def test_last_row_scores_equal_the_last_prefix_row():
             full = md.prefix_scores(params, prefix)
             some = rng.permutation(length)[: 1 + length // 2]
             for rows in (slice(-1, None), some):
-                part, _ = md._score_rows(params, _eval_block(params, prefix, rows)[1].ys[0], False)
+                part = md._eval_scores(params, prefix, rows)
                 assert part.shape == full[rows].shape
                 assert np.max(np.abs(part - full[rows])) <= 1e-12 * np.max(np.abs(full[rows]))
 

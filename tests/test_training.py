@@ -40,6 +40,18 @@ def test_configs_refuse_a_learning_rate_or_temperature_that_is_not_finite(build,
         build(value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5), ("lr_patience", 2.0), ("k", 2.0), ("k", True),
+    ("d", 4.0), ("d", np.float64(4.0)), ("max_len", 5.5), ("seed", 1.5), ("seed", False),
+], ids=str)
+def test_config_refuses_a_non_integer_in_an_integer_field(field, value):
+    # a whole float or a bool would be used as an int, a fraction cut to one (seed) or fail
+    # only inside train with a TypeError
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        tr.TrainConfig(**{field: value})
+    tr.TrainConfig(**{field: np.int64(int(value) + 2)})  # a numpy integer is accepted
+
+
 @pytest.mark.parametrize("build", [lambda v: tr.TrainConfig(tau=v), lambda v: md.GumbelConfig(tau=v)],
                          ids=["TrainConfig.tau", "GumbelConfig.tau"])
 def test_configs_refuse_a_temperature_that_overflows_the_noisy_factor_logits(build):
