@@ -9,7 +9,7 @@ gradient and so builds no index of each candidate's best factor.  A rank is
 
 from __future__ import annotations
 
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -40,13 +40,11 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
     s = np.asarray(scores, dtype=np.float64)
-    try:
-        tgt = operator.index(target)
-    except TypeError:
-        raise ValueError(f"target must be an integer node index, got {target!r}") from None
-    if not 0 <= tgt < len(s):
-        raise ValueError(f"target {tgt} out of range for {len(s)} scores")
-    return int(_ranks(s[None], [tgt])[0])
+    if isinstance(target, bool) or not isinstance(target, numbers.Integral):
+        raise ValueError(f"target must be an integer node index, got {target!r}")
+    if not 0 <= target < len(s):
+        raise ValueError(f"target {target} out of range for {len(s)} scores")
+    return int(_ranks(s[None], [target])[0])
 
 
 def hits_at_n(ranks: Sequence[int], n: int) -> float:

@@ -9,17 +9,17 @@ scored against the shared node-embedding table with a max-over-factors
 softmax loss.
 
 The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``:
-``_recurrence`` (embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm)
-on a padded block of cascades, then scoring and loss one cascade at a time (``_score_rows``,
-``_row_loss``).  Each stage returns its output and its closed-form backward, a closure over
-the forward's intermediates; the callers compose the closures.  A batch is a plain list of
-cascades.  ``_chunks`` runs the recurrence per group of consecutive cascades and the O(L^2)
-head per chunk of a group, each cut from its own cascades' lengths, and hands the cascades to
-``batch_loss`` (training, validation) and ``batch_scores`` (evaluation) one at a time; it is
-the one place that pads, once per group.  The B=1 calls run ``_recurrence`` and ``_head`` on
-one row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
-``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training`` switch,
-which turns both off.  Tests pin the model to a numpy oracle and finite differences.
+``_recurrence`` (embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm) on
+a padded block of cascades, then per cascade scoring (``_score_rows``) and the step loss on its
+(t, N) score block (``_step_losses``).  Each stage returns its output and its closed-form
+backward, a closure over the forward's intermediates; the callers compose the closures.  A batch
+is a list of cascades.  ``_chunks`` runs the recurrence per group of consecutive cascades and
+the O(L^2) head per chunk of a group, each cut from its own cascades' lengths, and hands the
+cascades to ``batch_loss`` (training) and ``batch_scores`` (validation, evaluation) one at a
+time; it is the one place that pads, once per group.  The B=1 calls run ``_recurrence`` and
+``_head`` on one row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
+``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training`` switch, which
+turns both off.  Tests pin the model to a numpy oracle and finite differences.
 
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -116,13 +116,14 @@ class ModelParams:
             p.reset_gradient()
 
     def clone(self) -> "ModelParams":
-        return ModelParams.from_arrays(self.num_nodes, self.dim, self.factors,
-                                       {name: p.data.copy() for name, p in self.named_parameters()})
+        return ModelParams.from_arrays({name: p.data.copy() for name, p in self.named_parameters()})
 
     @staticmethod
-    def from_arrays(num_nodes: int, dim: int, factors: int, arrays) -> "ModelParams":
-        """The model whose parameter ``name`` holds ``arrays[name]``, for each name in ``_PARAM_NAMES``."""
-        return ModelParams(num_nodes, dim, factors, **{name: Parameter(arrays[name], name) for name in _PARAM_NAMES})
+    def from_arrays(arrays) -> "ModelParams":
+        """The model whose parameter ``name`` holds ``arrays[name]``, for each name in ``_PARAM_NAMES``;
+        N and D come from the (N + 1, D) ``embeddings``, K from the (K, D) ``prototypes``."""
+        (rows, dim), factors = arrays["embeddings"].shape, len(arrays["prototypes"])
+        return ModelParams(rows - 1, dim, factors, **{name: Parameter(arrays[name], name) for name in _PARAM_NAMES})
 
 
 def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelParams:
@@ -155,7 +156,7 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
             break
         protos[bad[0][0]] = uni(dim)
     arrays.update(prototypes=protos, ln_gain=np.ones(dim), ln_bias=np.zeros(dim))
-    return ModelParams.from_arrays(num_nodes, dim, factors, arrays)
+    return ModelParams.from_arrays(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -348,21 +349,18 @@ def _score_rows(params: ModelParams, ys: np.ndarray, grad: bool):
     return top, backward
 
 
-def _row_loss(params: ModelParams, ys: np.ndarray, targets: np.ndarray, grad: bool):
-    """Step losses of one cascade from its candidate states ``ys`` and targets,
-    and, if ``grad``, the function of a weight g that gives g d(sum)/d(ys) (else None)."""
-    scores, score_backward = _score_rows(params, ys, grad)
+def _step_losses(scores: np.ndarray, targets):
+    """Softmax step losses of one cascade's (t, N) ``scores`` against its ``targets``,
+    and the function of a weight g that gives g d(sum)/d(scores)."""
     steps = np.arange(len(targets))
     mx = scores.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
     losses = lse[:, 0] - scores[steps, targets]
-    if not grad:
-        return losses, None
 
     def backward(g):
         d_scores = np.exp(scores - lse) * g
         d_scores[steps, targets] -= g
-        return score_backward(d_scores)
+        return d_scores
 
     return losses, backward
 
@@ -424,22 +422,21 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
         del hidden, gru_backward, d_hidden
 
 
-def batch_loss(params: ModelParams, batch, weight: Optional[float], gumbel: Optional[GumbelConfig] = None,
+def batch_loss(params: ModelParams, batch, weight: float, gumbel: Optional[GumbelConfig] = None,
                dropout_rate: float = 0.0, dropout_rng: Optional[RngState] = None) -> "list[np.ndarray]":
-    """Step losses of every cascade of ``batch``, a list of cascades, one array per
-    cascade (empty for fewer than 2 nodes).  Adds ``weight`` times the gradient of
-    their sum into every ``Parameter.grad``; ``None`` computes no gradient.
-    Gumbel noise runs iff ``gumbel`` is given, dropout iff ``dropout_rate > 0``.
+    """Step losses of every cascade of ``batch``, a list of cascades, one array per cascade (empty
+    for fewer than 2 nodes), adding ``weight`` times the gradient of their sum into every
+    ``Parameter.grad``.  Gumbel noise runs iff ``gumbel`` is given, dropout iff ``dropout_rate > 0``.
 
     ``_chunks`` hands out the cascades one at a time, its groups and chunks bounding the memory;
     each is scored, and its loss backward written into its ``d_ys``, before the next, so one
-    (t, K, N) block is live.  Without a ``weight``, scoring builds no factor index (see ``_score_rows``).
+    (t, K, N) block is live.
     """
     out = [np.empty(0)] * len(batch)
-    for row, ys, d_ys in _chunks(params, batch, weight is not None, gumbel, dropout_rate, dropout_rng):
-        out[row], score_backward = _row_loss(params, ys, batch[row][1:len(ys) + 1], weight is not None)
-        if weight is not None:
-            d_ys[...] = score_backward(weight)
+    for row, ys, d_ys in _chunks(params, batch, True, gumbel, dropout_rate, dropout_rng):
+        scores, score_backward = _score_rows(params, ys, True)
+        out[row], loss_backward = _step_losses(scores, batch[row][1:len(ys) + 1])
+        d_ys[...] = score_backward(loss_backward(weight))
     return out
 
 
@@ -447,7 +444,8 @@ def batch_scores(params: ModelParams, batch):
     """Evaluation-mode scores (no noise, dropout or gradient) of the cascades of ``batch``,
     a list of cascades, with >= 2 nodes: yields ``(row, scores)`` in row order, one cascade
     (and one (t, N) block) at a time as ``_chunks`` hands it out, whose row i scores the next
-    node after the first i+1 nodes of ``batch[row]``.  Scoring builds no factor index (see ``_score_rows``)."""
+    node after the first i+1 nodes of ``batch[row]``.  Validation losses and evaluation ranks
+    are both read off these blocks.  Scoring builds no factor index (see ``_score_rows``)."""
     for row, ys, _ in _chunks(params, batch, grad=False):
         yield row, _score_rows(params, ys, grad=False)[0]
 
@@ -477,8 +475,9 @@ def forward_cascade(
     lengths = np.array([len(idx) - 1])
     hidden, gru_backward = _recurrence(params, idx[None, :-1], lengths, dropout_rate, dropout_rng)
     ys, head_backward = _head(params, hidden, lengths, gumbel)
-    steps, score_backward = _row_loss(params, ys[0], idx[1:], grad=True)
-    loss = Tensor(steps.sum(), lambda g: gru_backward(head_backward(score_backward(g)[None])))
+    scores, score_backward = _score_rows(params, ys[0], True)
+    steps, loss_backward = _step_losses(scores, idx[1:])
+    loss = Tensor(steps.sum(), lambda g: gru_backward(head_backward(score_backward(loss_backward(g))[None])))
     return CascadeForward(loss=loss, step_losses=steps)
 
 
@@ -509,10 +508,8 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
     no factor index (see ``_score_rows``), and only the nodes that tie with or
     beat the n-th best score are sorted.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 0 or n > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
     neg = -_eval_scores(params, prefix, slice(-1, None))[0]
@@ -573,11 +570,11 @@ def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> No
 def load_checkpoint(path, vocabulary=None):
     """Read a checkpoint back; returns (ModelParams, seed).
 
-    Anything but an intact checkpoint raises ValueError: a wrong magic
-    (format 1 included), truncation, a malformed header, tensors renamed or
-    shaped other than ``num_nodes``/``dim``/``factors`` imply, trailing
-    bytes, or a NaN or infinite parameter.  So does a ``vocabulary`` whose digest differs from the stored
-    one; either side may be absent, and then nothing is compared.
+    Anything but an intact checkpoint raises ValueError: a wrong magic (format 1 included),
+    truncation, a malformed header (a size or seed that is not a JSON integer included), tensors
+    renamed or shaped other than ``num_nodes``/``dim``/``factors`` imply, trailing bytes, or a NaN
+    or infinite parameter.  So does a ``vocabulary`` whose digest differs from the stored one;
+    either side may be absent, and then nothing is compared.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -591,9 +588,10 @@ def load_checkpoint(path, vocabulary=None):
     (hlen,) = struct.unpack_from("<Q", blob, len(_CKPT_MAGIC))
     try:
         header = json.loads(blob[start:start + hlen].decode())
-        num_nodes, dim, factors, seed = (
-            int(header[key]) for key in ("num_nodes", "dim", "factors", "seed")
-        )
+        sizes = tuple(header[key] for key in ("num_nodes", "dim", "factors", "seed"))
+        if any(type(value) is not int for value in sizes):  # a bool, float or string
+            raise TypeError(f"N, D, K and seed must be JSON integers, got {sizes}")
+        num_nodes, dim, factors, seed = sizes
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
         digest = header["vocabulary_sha256"]
         if digest is not None and not isinstance(digest, str):
@@ -621,4 +619,4 @@ def load_checkpoint(path, vocabulary=None):
         offset += 8 * count
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{path}: parameter {name} holds a NaN or infinite value")
-    return ModelParams.from_arrays(num_nodes, dim, factors, arrays), seed
+    return ModelParams.from_arrays(arrays), seed

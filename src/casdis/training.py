@@ -2,10 +2,10 @@
 
 The batch objective is the mean step loss over every prediction step of the
 batch: one ``batch_loss`` call per batch adds 1/steps times the gradient of
-the summed step losses.  Validation runs the same pipeline without a
-gradient.  ``train`` checks each cascade and cuts it to ``max_len`` nodes
-once, before the first epoch; ``make_batches`` and ``mean_step_loss`` take
-cascades as they are.
+the summed step losses.  Validation takes the same step loss on the score
+blocks of ``batch_scores``.  ``train`` checks each cascade and cuts it to
+``max_len`` nodes once, before the first epoch; ``make_batches`` and
+``mean_step_loss`` take cascades as they are.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import DatasetSplit, make_batches
-from .model import GumbelConfig, ModelParams, _node_indices, batch_loss, init_params
+from .model import GumbelConfig, ModelParams, _node_indices, _step_losses, batch_loss, batch_scores, init_params
 from .numerics import RngState
 
 log = logging.getLogger(__name__)
@@ -141,9 +141,10 @@ class TrainResult:
 
 def mean_step_loss(params: ModelParams, cascades) -> float:
     """Evaluation-mode loss per step (no noise, no dropout) of the cascades as they are,
-    uncut, run as one ``batch_loss`` batch; ``_chunks`` cuts its groups and chunks from
-    the cascades' own lengths to bound the memory."""
-    losses = batch_loss(params, cascades, None)
+    uncut: ``_step_losses`` on each (t, N) block of one ``batch_scores`` batch, whose
+    ``_chunks`` cuts its groups and chunks from the cascades' own lengths to bound the memory."""
+    losses = [_step_losses(scores, cascades[row][1:len(scores) + 1])[0]
+              for row, scores in batch_scores(params, cascades)]
     steps = sum(len(x) for x in losses)
     if steps == 0:
         raise ValueError("no prediction points in cascade set")

@@ -116,6 +116,11 @@ def _numeric_digest(header):
     header["vocabulary_sha256"] = 7
 
 
+def _set(key, value):
+    """The corruption that stores ``value`` under the header's ``key``."""
+    return lambda blob: _rewrite_header(blob, lambda header: header.update({key: value}))
+
+
 CORRUPTIONS = {
     "bad_magic": lambda blob: b"NOTCKPT\n" + blob[8:],
     "renamed_tensor": lambda blob: _rewrite_header(blob, _rename),
@@ -123,6 +128,11 @@ CORRUPTIONS = {
     "header_sizes_disagree": lambda blob: _rewrite_header(blob, _resize),
     "no_vocabulary_key": lambda blob: _rewrite_header(blob, _no_vocabulary_key),
     "numeric_vocabulary_digest": lambda blob: _rewrite_header(blob, _numeric_digest),
+    # a seed or size that is not a JSON integer was cut to one, so eval split with another seed
+    "float_seed": _set("seed", 5.9),
+    "string_seed": _set("seed", "5"),
+    "bool_seed": _set("seed", True),
+    "whole_float_dim": _set("dim", 4.0),
     "trailing_bytes": lambda blob: blob + b"\0" * 8,
     "cut_inside_a_tensor": lambda blob: blob[:-4],
     # the last float of the last tensor, ln_bias

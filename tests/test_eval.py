@@ -56,9 +56,11 @@ def test_rank_target_out_of_range():
 
 
 def test_rank_target_must_be_an_integer():
+    # a bool would rank node 0 or 1
     scores = np.array([0.3, 0.9, 0.1])
-    with pytest.raises(ValueError, match="integer"):
-        ev.rank_of_target(scores, 1.7)
+    for target in (1.7, True, False):
+        with pytest.raises(ValueError, match="integer"):
+            ev.rank_of_target(scores, target)
     assert ev.rank_of_target(scores, np.int64(1)) == 1
 
 
