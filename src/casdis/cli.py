@@ -1,8 +1,9 @@
 """Command-line entry point: train / eval / ablate / synth.
 
 Configuration is resolved as defaults < config file (flat key=value lines)
-< explicit flags, and the resolved form is echoed to the output directory
-before any work starts.  All randomness flows from one root seed split into
+< explicit flags, and the command's own keys are echoed, resolved, to the
+output directory before any work starts; a config-file key of another command
+is accepted and ignored.  All randomness flows from one root seed split into
 named streams (split, init, gumbel, dropout, shuffle, synth).
 """
 
@@ -93,7 +94,9 @@ OPTIONS = (
     Option("length_max", int, 24, ("synth",)),
 )
 _BY_NAME = {o.name: o for o in OPTIONS}
-DEFAULTS = {o.name: o.default for o in OPTIONS if o.default is not None}
+# each command's keys that have a default, and those defaults
+DEFAULTS = {command: {o.name: o.default for o in OPTIONS if command in o.commands and o.default is not None}
+            for command in _ALL}
 
 
 class CliError(Exception):
@@ -129,13 +132,15 @@ def read_config_file(path: str) -> dict:
 
 
 def given_config(args: argparse.Namespace) -> dict:
-    """The values set explicitly: config file < flags that were actually given."""
+    """The values of ``args.command``'s keys set explicitly: config file < flags that were
+    actually given.  A config-file key of another command is accepted and left out, so one
+    file can serve several commands."""
     given = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key in _BY_NAME:
         flag = getattr(args, key, None)
         if flag is not None:
             given[key] = flag
-    return given
+    return {key: value for key, value in given.items() if args.command in _BY_NAME[key].commands}
 
 
 def _ensure_out_dir(config: dict) -> Path:
@@ -337,7 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         given = given_config(args)
-        config = dict(DEFAULTS, **given, command=args.command)
+        config = dict(DEFAULTS[args.command], **given, command=args.command)
         if args.command == "eval":
             return cmd_eval(config, given)
         return _COMMANDS[args.command](config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .numerics import RngState
+from .numerics import RngState, _integer
 
 log = logging.getLogger(__name__)
 
@@ -130,11 +130,13 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("communities", "nodes_per_community", "cascades", "seed"):
+            _integer(name, getattr(self, name))
+        lo, hi = (_integer("length_range", end) for end in self.length_range)
         if self.communities < 1 or self.nodes_per_community < 1 or self.cascades < 1:
             raise ValueError("communities, nodes_per_community and cascades must be positive")
         if not 0.0 <= self.cross_community_prob <= 1.0:
             raise ValueError(f"cross_community_prob must be in [0,1], got {self.cross_community_prob}")
-        lo, hi = self.length_range
         if lo < 2 or hi < lo:
             raise ValueError(f"length_range must satisfy 2 <= min <= max, got {self.length_range}")
 
@@ -164,7 +166,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Tuple[List[List[str]], Dict[str, 
         seq: List[int] = []
         while len(seq) < length:
             if seq:  # the jump decision applies from the second node on
-                if c > 1 and rng.uniform() < spec.cross_community_prob:
+                if c > 1 and rng.random() < spec.cross_community_prob:
                     hop = int(rng.integers(c - 1))
                     com = hop if hop < com else hop + 1
             if not pools[com]:

@@ -9,13 +9,13 @@ gradient and so builds no index of each candidate's best factor.  A rank is
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .model import ModelParams, batch_scores
+from .numerics import _integer
 
 DEFAULT_N_VALUES = (10, 50, 100)
 
@@ -40,8 +40,7 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
     s = np.asarray(scores, dtype=np.float64)
-    if isinstance(target, bool) or not isinstance(target, numbers.Integral):
-        raise ValueError(f"target must be an integer node index, got {target!r}")
+    _integer("target", target)
     if not 0 <= target < len(s):
         raise ValueError(f"target {target} out of range for {len(s)} scores")
     return int(_ranks(s[None], [target])[0])

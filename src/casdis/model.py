@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    GUMBEL_EPS, Parameter, RngState, Tensor, dot_rows, gather_rows, layer_norm_rows,
+    GUMBEL_EPS, Parameter, RngState, Tensor, _integer, dot_rows, gather_rows, layer_norm_rows,
     layer_norm_rows_backward, sigmoid, softmax_rows, softmax_rows_backward, unit_rows, unit_rows_backward,
 )
 
@@ -138,7 +137,7 @@ def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelP
     bound = 1.0 / math.sqrt(dim)
 
     def uni(*shape):
-        return rng.uniform_between(-bound, bound, shape)
+        return rng.uniform(-bound, bound, shape)
 
     # prototypes are drawn last so that models differing only in K share
     # bit-identical embedding/GRU/layer-norm initializations per seed
@@ -187,17 +186,17 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
     """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades, and
     their backward.  Row b of the (B, L) ``positions`` holds a cascade in its first
     ``lengths[b]`` entries, then padding, so a padded step never feeds a real one.
-    Dropout runs iff ``dropout_rate > 0``, its masks drawn one cascade at a time, in
-    row order.  The update and reset gates live in one (B, L, 2D) block."""
+    Dropout runs iff ``dropout_rate > 0``, its mask drawn in one call for the real positions
+    in row-major order (cascade by cascade).  The update and reset gates live in one (B, L, 2D) block."""
     (b, width), d = positions.shape, params.dim
+    real = np.arange(width) < lengths[:, None]
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
     if dropout_rate > 0.0:
         if dropout_rng is None:
             raise ValueError("dropout requested but no rng given")
         keep = np.zeros((b, width, d), dtype=bool)
-        for i, t in enumerate(lengths):
-            keep[i, :t] = dropout_rng.uniform((t, d)) >= dropout_rate
+        keep[real] = dropout_rng.random((lengths.sum(), d)) >= dropout_rate
         xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
 
     # input transforms for every step at once: the update and reset gates as
@@ -246,7 +245,6 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
         if keep is not None:
             d_xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
         # rows repeat when a node recurs in a cascade: add.at accumulates them
-        real = np.arange(width) < lengths[:, None]
         np.add.at(params.embeddings.grad, positions[real], d_xe[real])
 
     return hidden, backward
@@ -256,13 +254,14 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
           rows=slice(None)):
     """Attention, factors, weighted mix and layer norm on the GRU states of B
     cascades, and their backward: ``ys[b, t]`` (B, L, K, D) is for the prefix of
-    length t+1.  Gumbel noise runs iff ``gumbel`` is given, drawn one cascade at a
-    time, in row order; attention sees the real keys i <= t.  ``rows`` (a slice or
-    index array over the L positions) limits attention, mix and layer norm to those
-    prefixes, and then the backward must not be called."""
+    length t+1.  Gumbel noise runs iff ``gumbel`` is given, drawn in one call for the real
+    rows in row-major order (cascade by cascade); attention sees the real keys i <= t.
+    ``rows`` (a slice or index array over the L positions) limits attention, mix and layer
+    norm to those prefixes, and then the backward must not be called."""
     width, d = hidden.shape[1], params.dim
     scale = 1.0 / math.sqrt(d)
-    mask = np.tri(width, dtype=bool)[rows] & (np.arange(width) < lengths[:, None])[:, None, :]
+    real = np.arange(width) < lengths[:, None]
+    mask = np.tri(width, dtype=bool)[rows] & real[:, None, :]
     attn = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
 
     unit_h, norm_h = unit_rows(hidden)
@@ -272,8 +271,7 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
         if gumbel.rng is None:
             raise ValueError("gumbel noise requested but no rng given")
         # the noise is drawn here, onto the real rows, and held fixed in the backward
-        for i, t in enumerate(lengths):
-            logits[i, :t] += gumbel.rng.gumbel((t, params.factors))
+        logits[real] += gumbel.rng.clipped_gumbel((lengths.sum(), params.factors))
         tau = gumbel.tau
     factors = softmax_rows(1.0 / tau * logits)
 
@@ -508,8 +506,7 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
     no factor index (see ``_score_rows``), and only the nodes that tie with or
     beat the n-th best score are sorted.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise ValueError(f"n must be an integer, got {n!r}")
+    _integer("n", n)
     if n < 0 or n > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
     neg = -_eval_scores(params, prefix, slice(-1, None))[0]

@@ -1,6 +1,7 @@
 """Double-precision building blocks shared by the model and its tests.
 
-``RngState`` gives seeded, named random streams.  ``Parameter`` holds a
+``RngState`` is numpy's PCG64 ``Generator`` with its integer seed kept, and
+the named child streams derived from one root seed.  ``Parameter`` holds a
 trainable array and the gradient accumulated into it.  ``Tensor`` is a value
 paired with the closed-form rule that adds its gradient into the parameters
 it depends on; it records no graph.  The array kernels the model's stages
@@ -12,6 +13,7 @@ arithmetic is float64; gradient checks are meaningless at single precision.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 # (and differentiable almost everywhere) for near-zero vectors.
 NORM_FLOOR = 1e-12
 
-# RngState.gumbel clips its uniforms to [GUMBEL_EPS, 1 - GUMBEL_EPS], so every
+# RngState.clipped_gumbel clips its uniforms to [GUMBEL_EPS, 1 - GUMBEL_EPS], so every
 # Gumbel sample lies within -log(GUMBEL_EPS) of 0.
 GUMBEL_EPS = 1e-12
 
@@ -30,40 +32,36 @@ LN_EPS = 1e-8
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-class RngState:
-    """Seeded PCG64 stream that remembers its seed.
+def _integer(name: str, value) -> int:
+    """``value`` as an int if it is a ``numbers.Integral`` other than a bool (a numpy integer
+    passes; a float, string or 0-d array does not), else ValueError naming it ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+class RngState(np.random.Generator):
+    """numpy's PCG64 ``Generator``, seeded at ``seed`` mod 2**64, that
+    remembers its seed; a seed that is not an integer is a ValueError.
 
     Identical seed + identical call sequence reproduces the identical sample
     stream, which is what makes seeded runs repeatable bit for bit.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _U64
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self.seed = _integer("seed", seed) & _U64
+        super().__init__(np.random.PCG64(self.seed))
 
-    def uniform(self, size=None):
-        """Uniform float64 samples in [0, 1)."""
-        return self._gen.random(size)
-
-    def uniform_between(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int):
-        return self._gen.permutation(n)
-
-    def gumbel(self, shape) -> np.ndarray:
-        """Standard Gumbel samples g = -log(-log(u)), u clipped away from {0, 1}."""
-        u = np.clip(self.uniform(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
+    def clipped_gumbel(self, shape) -> np.ndarray:
+        """Standard Gumbel samples g = -log(-log(u)), u = ``random(shape)`` clipped away from {0, 1}."""
+        u = np.clip(self.random(shape), GUMBEL_EPS, 1.0 - GUMBEL_EPS)
         return -np.log(-np.log(u))
 
     @staticmethod
     def derive(root_seed: int, name: str) -> "RngState":
         """Child stream for a named purpose (split, init, gumbel, ...)."""
         digest = hashlib.blake2b(
-            f"{int(root_seed)}:{name}".encode(), digest_size=8
+            f"{_integer('seed', root_seed)}:{name}".encode(), digest_size=8
         ).digest()
         return RngState(int.from_bytes(digest, "little"))
 

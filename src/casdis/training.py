@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -21,7 +20,7 @@ import numpy as np
 
 from .data import DatasetSplit, make_batches
 from .model import GumbelConfig, ModelParams, _node_indices, _step_losses, batch_loss, batch_scores, init_params
-from .numerics import RngState
+from .numerics import RngState, _integer
 
 log = logging.getLogger(__name__)
 
@@ -50,9 +49,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience", "lr_patience", "k", "d", "max_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _integer(name, getattr(self, name))
         if not 0 < self.lr_init < math.inf or self.batch_size < 1 or self.max_epochs < 0:  # also refuses NaN
             raise ValueError("lr_init must be finite and positive, batch_size and max_epochs positive")
         if not 0.0 < self.lr_decay_factor < 1.0:

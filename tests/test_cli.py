@@ -8,9 +8,9 @@ import pytest
 from casdis import cli
 from casdis import data as dt
 from casdis import model as md
-from casdis.evaluation import DEFAULT_N_VALUES
+from casdis.evaluation import DEFAULT_N_VALUES, evaluate
 from casdis.numerics import RngState
-from casdis.training import TrainConfig
+from casdis.training import TrainConfig, train
 
 NUM_NODES = 12
 
@@ -275,5 +275,48 @@ def test_clip_norm_zero_still_means_no_clipping(workspace):
 
 def test_option_defaults_are_the_library_defaults():
     # every training key takes its default from TrainConfig, and --n-list from evaluate
-    assert cli._train_config(cli.DEFAULTS) == TrainConfig()
-    assert cli._int_list(cli.DEFAULTS["n_list"], "--n-list") == DEFAULT_N_VALUES
+    for command in cli._FIT:
+        assert cli._train_config(cli.DEFAULTS[command]) == TrainConfig()
+    for command in ("eval", "ablate"):
+        assert cli._int_list(cli.DEFAULTS[command]["n_list"], "--n-list") == DEFAULT_N_VALUES
+
+
+def test_config_resolved_holds_only_the_keys_of_its_command(workspace):
+    # a shared config file may hold another command's keys; they are accepted, not echoed
+    tmp_path, data, _ = workspace
+    conf = tmp_path / "shared.conf"
+    conf.write_text("lr=0.01\ncascades=7\nn_list=5\ncheckpoint=elsewhere\n", encoding="utf-8")
+    ckpt = tmp_path / "train" / "model.ckpt"
+    runs = {"train": ["--k", "2", "--d", "4", "--epochs", "1"], "eval": ["--checkpoint", str(ckpt)]}
+    for command, flags in runs.items():  # train first: eval reads its checkpoint
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(conf), *flags, "--data", str(data), "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "config.resolved").read_text().splitlines()
+        own = {o.name for o in cli.OPTIONS if command in o.commands}
+        assert {line.partition("=")[0] for line in lines} == own | {"command"}
+        assert f"command={command}" in lines
+    assert "lr=0.01" in (tmp_path / "train" / "config.resolved").read_text().splitlines()
+    assert "n_list=5" in (tmp_path / "eval" / "config.resolved").read_text().splitlines()
+
+
+def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
+    synth = tmp_path / "synth"
+    argv = ["synth", "--cascades", "60", "--nodes-per-community", "6", "--out", str(synth)]
+    assert cli.main(argv) == cli.EXIT_OK
+    data = synth / "cascades.txt"
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--k-list", "1,2", "--d", "8", "--epochs", "1", "--lr", "0.05", "--n-list", "1,3,10",
+            "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = (out / "ablation.csv").read_text().splitlines()
+    assert rows[0] == "k,d,hits@1,hits@3,hits@10,map@1,map@3,map@10"
+    with open(data, encoding="utf-8") as fh:
+        parsed = dt.parse_cascades(fh)
+    split = dt.split_dataset(parsed.cascades, RngState.derive(TrainConfig.seed, "split").seed)
+    expect = []
+    for k in (1, 2):
+        result = train(TrainConfig(k=k, d=8, max_epochs=1, lr_init=0.05), split, parsed.vocabulary.size)
+        report = evaluate(result.params, split.test, (1, 3, 10))
+        values = [report.hits[n] for n in (1, 3, 10)] + [report.maps[n] for n in (1, 3, 10)]
+        expect.append(",".join([str(k), "8"] + [f"{v:.6f}" for v in values]))
+    assert rows[1:] == expect and expect[0][1:] != expect[1][1:]  # the two cells are told apart

@@ -93,6 +93,15 @@ def test_split_partitions_exactly():
     assert sorted(seen) == sorted(tuple(c) for c in cascades)
 
 
+@pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "string", "bool"])
+def test_split_refuses_a_seed_that_is_not_an_integer(seed):
+    # each was cut to an integer: split_dataset(c, 1.5) split as seed 1 and recorded 1.5
+    cascades = [[i, i + 1] for i in range(30)]
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        dt.split_dataset(cascades, seed)
+    assert dt.split_dataset(cascades, np.int64(5)) == dt.split_dataset(cascades, 5)
+
+
 def test_split_too_few():
     with pytest.raises(ValueError):
         dt.split_dataset([[0, 1]] * 9, seed=0)
@@ -194,12 +203,17 @@ def test_synth_lengths_within_range():
 
 
 def test_synth_spec_validation():
-    with pytest.raises(ValueError):
-        spec(cross_community_prob=1.5)
-    with pytest.raises(ValueError):
-        spec(length_range=(1, 5))
-    with pytest.raises(ValueError):
-        spec(communities=0)
+    # a size or seed that is not an integer was taken: 2.5 communities failed later with a
+    # TypeError, (2.5, 4) drew lengths from 2, True cascades gave one cascade and seed 1.5
+    # generated seed 1's cascades
+    bad = [dict(cross_community_prob=1.5), dict(length_range=(1, 5)), dict(communities=0),
+           dict(communities=2.5), dict(nodes_per_community=5.0), dict(cascades=True),
+           dict(length_range=(2.5, 4)), dict(length_range=(4, "9")),
+           dict(seed=1.5), dict(seed="7"), dict(seed=True)]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            spec(**fields)
+    assert dt.generate_synthetic(spec(communities=np.int64(2))) == dt.generate_synthetic(spec())
 
 
 def test_synth_write_files(tmp_path):

@@ -139,7 +139,7 @@ def test_factor_weights_single_factor():
     # one factor takes weight exactly 1 whatever its prototype
     params = small_params(factors=1)
     before = md.prefix_scores(params, [0, 1, 2])
-    params.prototypes.data[:] = RngState(1).uniform_between(-5, 5, (1, 4))
+    params.prototypes.data[:] = RngState(1).uniform(-5, 5, (1, 4))
     assert (md.prefix_scores(params, [0, 1, 2]) == before).all()
 
 
@@ -151,7 +151,7 @@ def test_factor_weights_gumbel_only_in_training():
     gum = md.GumbelConfig(tau=1.0, rng=rng)
     evaluated = md.forward_cascade(params, cascade, gumbel=gum, training=False)
     assert (evaluated.step_losses == plain).all()
-    assert (rng.uniform(3) == RngState(9).uniform(3)).all()  # no noise drawn
+    assert (rng.random(3) == RngState(9).random(3)).all()  # no noise drawn
     noiseless = md.forward_cascade(params, cascade, training=True).step_losses
     assert (noiseless == plain).all()
     noisy = md.forward_cascade(params, cascade, gumbel=gum, training=True).step_losses
@@ -558,7 +558,7 @@ def test_bool_dropout_mask_scales_like_the_float_mask():
     real = np.arange(5) < lengths[:, None]
     draws, mask = RngState(8), np.zeros((2, 5, 4))
     for i, t in enumerate(lengths):
-        mask[i, :t] = (draws.uniform((t, 4)) >= rate) / (1.0 - rate)
+        mask[i, :t] = (draws.random((t, 4)) >= rate) / (1.0 - rate)
     assert 0 < (mask[real] == 0).sum() < mask[real].size
     hidden, backward = md._recurrence(params, positions, lengths, rate, RngState(8))
     replay = params.clone()
@@ -589,7 +589,7 @@ def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
     if rate:
         draws, mask = RngState(8), np.zeros(xe.shape)
         for i, t in enumerate(lengths):
-            mask[i, :t] = np.where(draws.uniform((t, dim)) >= rate, 1.0 / (1.0 - rate), 0.0)
+            mask[i, :t] = np.where(draws.random((t, dim)) >= rate, 1.0 / (1.0 - rate), 0.0)
         xe *= mask
     p = {name: q.data for name, q in params.named_parameters()}
     z, r, cand = (xe @ p[f"w_{gate}"] + p[f"b_{gate}"] for gate in "zrh")

@@ -228,19 +228,19 @@ def test_sigmoid_in_place_gives_the_same_bits():
 
 
 class _ConstantRng(RngState):
-    """Stand-in rng whose uniform draws are all the same value."""
+    """Stand-in rng whose uniform draws in [0, 1) are all the same value."""
 
     def __init__(self, value):
         super().__init__(0)
         self.value = value
 
-    def uniform(self, size=None):
+    def random(self, size=None):
         return np.full(size, self.value) if size is not None else self.value
 
 
 def gumbel_softmax(logits, tau, rng):
     x = np.asarray(logits, dtype=np.float64)
-    return nm.softmax_rows(1.0 / tau * (x + rng.gumbel(x.shape)))
+    return nm.softmax_rows(1.0 / tau * (x + rng.clipped_gumbel(x.shape)))
 
 
 def test_gumbel_equal_logits_identical_noise():
@@ -277,7 +277,7 @@ def test_gumbel_bit_reproducible():
 def test_gumbel_argmax_frequency_matches_gumbel_max():
     # oracle: P(argmax = 0) for logits [ln 3, 0] is 3/4 by the Gumbel-max property
     logits = np.array([math.log(3.0), 0.0])
-    noise = RngState(12345).gumbel((100_000, 2))
+    noise = RngState(12345).clipped_gumbel((100_000, 2))
     wins = ((logits + noise).argmax(axis=1) == 0).mean()
     assert abs(wins - 0.75) < 0.01
 
@@ -353,7 +353,7 @@ def test_grad_gumbel_with_frozen_noise():
     # the model's factor softmax: softmax((scale * logits + g) / tau)
     rng = np.random.default_rng(17)
     logits = Parameter(rng.normal(size=(3, 4)), "logits")
-    noise = RngState(5).gumbel((3, 4))
+    noise = RngState(5).clipped_gumbel((3, 4))
     w = rng.normal(size=(3, 4))
     scale, tau = 0.5, 0.8
 
@@ -394,8 +394,27 @@ def test_finite_outputs_on_random_pipelines():
 
 def test_rng_same_seed_same_stream():
     a, b = RngState(42), RngState(42)
-    assert (a.uniform(10) == b.uniform(10)).all()
+    assert (a.random(10) == b.random(10)).all()
     assert (a.integers(0, 100, size=5) == b.integers(0, 100, size=5)).all()
+
+
+def test_rng_is_numpys_pcg64_generator_with_its_seed_kept():
+    # numpy's own methods and signatures, gumbel(loc, scale, size) included; a seed wraps mod 2**64
+    for seed, kept in ((3, 3), (np.int64(3), 3), (-1, 2**64 - 1), (2**64 + 5, 5)):
+        rng, plain = RngState(seed), np.random.Generator(np.random.PCG64(kept))
+        assert rng.seed == kept
+        for draw in (lambda g: g.random(4), lambda g: g.uniform(-2.0, 2.0, (2, 3)), lambda g: g.integers(7, size=5),
+                     lambda g: g.permutation(6), lambda g: g.gumbel(0.5, 2.0, 3)):
+            assert draw(rng).tobytes() == draw(plain).tobytes()
+    assert RngState.derive(np.int32(7), "split").seed == RngState.derive(7, "split").seed
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("entry", [RngState, lambda seed: RngState.derive(seed, "split")], ids=["RngState", "derive"])
+def test_rng_refuses_a_seed_that_is_not_an_integer(entry, seed):
+    # each was cut to an integer: 1.5 and True seeded as 1, "7" as 7
+    with pytest.raises(ValueError, match="integer"):
+        entry(seed)
 
 
 def test_rng_named_streams_differ_and_are_stable():
@@ -404,4 +423,4 @@ def test_rng_named_streams_differ_and_are_stable():
     init = RngState.derive(7, "init")
     assert split1.seed == split2.seed
     assert split1.seed != init.seed
-    assert (split1.uniform(5) == split2.uniform(5)).all()
+    assert (split1.random(5) == split2.random(5)).all()
