@@ -270,7 +270,9 @@ def cmd_ablate(config: dict) -> int:
     n_values = _int_list(config["n_list"], "--n-list")
     cells = [(k, d, _train_config(dict(config, k=k, d=d))) for k in k_list for d in d_list]
     parsed = _read_data(config)
-    out_dir = _ensure_out_dir(config)
+    # the echo names the lists swept, in place of the single k and d they default to
+    swept = {"k_list": ",".join(map(str, k_list)), "d_list": ",".join(map(str, d_list))}
+    out_dir = _ensure_out_dir(dict({key: config[key] for key in config if key not in ("k", "d")}, **swept))
 
     split = _split(config, parsed.cascades)     # shared across all cells
     header = ["k", "d"] + [f"hits@{n}" for n in n_values] + [f"map@{n}" for n in n_values]

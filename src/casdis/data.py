@@ -111,7 +111,7 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
 def make_batches(cascades: Sequence[Sequence[int]], batch_size: int) -> List[List[Sequence[int]]]:
     """Group cascades in order into batches, each a list of at most ``batch_size``
     of them, as they are: nothing is checked or cut here."""
-    if batch_size < 1:
+    if _integer("batch_size", batch_size) < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     return [list(cascades[start:start + batch_size]) for start in range(0, len(cascades), batch_size)]
 

@@ -46,8 +46,15 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     return int(_ranks(s[None], [target])[0])
 
 
+def _check_cutoff(n) -> None:
+    """ValueError unless the cutoff ``n`` is an integer >= 1."""
+    if _integer("n", n) < 1:
+        raise ValueError(f"the cutoff n must be >= 1, got {n}")
+
+
 def hits_at_n(ranks: Sequence[int], n: int) -> float:
-    """Fraction of prediction points ranked within the top n."""
+    """Fraction of prediction points ranked within the top n, an integer >= 1."""
+    _check_cutoff(n)
     r = np.asarray(ranks)
     if r.size == 0:
         raise ValueError("hits_at_n of empty rank list")
@@ -55,10 +62,11 @@ def hits_at_n(ranks: Sequence[int], n: int) -> float:
 
 
 def map_at_n(ranks: Sequence[int], n: int) -> float:
-    """Mean truncated reciprocal rank: 1/rank when rank <= n, else 0.
+    """Mean truncated reciprocal rank: 1/rank when rank <= n, an integer >= 1, else 0.
 
     With exactly one relevant item per point this is the average precision.
     """
+    _check_cutoff(n)
     r = np.asarray(ranks, dtype=np.float64)
     if r.size == 0:
         raise ValueError("map_at_n of empty rank list")
@@ -81,7 +89,8 @@ def evaluate(
     n_values: Sequence[int] = DEFAULT_N_VALUES,
 ) -> EvalReport:
     """hits@N and map@N over all prediction points of ``cascades``, scored as one
-    batch by ``collect_ranks``; a node index out of range anywhere raises ValueError."""
+    batch by ``collect_ranks``; a node index out of range anywhere, or a cutoff N that
+    is not an integer >= 1, raises ValueError."""
     if not cascades:
         raise ValueError("evaluate needs a non-empty cascade list")
     ranks = collect_ranks(params, cascades)

@@ -8,15 +8,15 @@ layer-normalized sums give K candidate states per step, and candidates are
 scored against the shared node-embedding table with a max-over-factors
 softmax loss.
 
-The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``:
-``_recurrence`` (embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm) on
-a padded block of cascades, then per cascade scoring (``_score_rows``) and the step loss on its
-(t, N) score block (``_step_losses``).  Each stage returns its output and its closed-form
-backward, a closure over the forward's intermediates; the callers compose the closures.  A batch
-is a list of cascades.  ``_chunks`` runs the recurrence per group of consecutive cascades and
-the O(L^2) head per chunk of a group, each cut from its own cascades' lengths, and hands the
-cascades to ``batch_loss`` (training) and ``batch_scores`` (validation, evaluation) one at a
-time; it is the one place that pads, once per group.  The B=1 calls run ``_recurrence`` and
+The model is defined once, on float64 arrays and the kernels of ``casdis.numerics``: ``_recurrence``
+(embedding, dropout, GRU) and ``_head`` (attention, factors, mix, layer norm) on a padded block of
+cascades, then per cascade scoring (``_score_rows``) and the step loss on its (t, N) score block
+(``_step_losses``).  Each stage, and each kernel with a derivative, returns its output and its
+closed-form backward, a closure over the forward's intermediates; the callers compose the
+closures.  A batch is a list of cascades.  ``_chunks`` runs the recurrence per group of consecutive
+cascades and the O(L^2) head per chunk of a group, each cut from its own cascades' lengths, and
+hands the cascades to ``batch_loss`` (training) and ``batch_scores`` (validation, evaluation) one at
+a time; it is the one place that pads, once per group.  The B=1 calls run ``_recurrence`` and
 ``_head`` on one row themselves.  Dropout runs iff ``dropout_rate > 0`` and Gumbel noise iff a
 ``GumbelConfig`` is given; only the public ``forward_cascade`` has a ``training`` switch, which
 turns both off.  Tests pin the model to a numpy oracle and finite differences.
@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    GUMBEL_EPS, Parameter, RngState, Tensor, _integer, dot_rows, gather_rows, layer_norm_rows,
-    layer_norm_rows_backward, sigmoid, softmax_rows, softmax_rows_backward, unit_rows, unit_rows_backward,
+    GUMBEL_EPS, Parameter, RngState, Tensor, _integer, dot_rows, gather_rows, layer_norm_rows, sigmoid,
+    softmax_rows, unit_rows,
 )
 
 
@@ -125,15 +125,17 @@ class ModelParams:
         return ModelParams(rows - 1, dim, factors, **{name: Parameter(arrays[name], name) for name in _PARAM_NAMES})
 
 
+def _check_sizes(num_nodes, dim, factors) -> None:
+    """The size rule of a model, built or loaded: integers N >= 1, D >= 2 and K >= 1, else ValueError."""
+    for name, value, least in (("num_nodes", num_nodes, 1), ("dim", dim, 2), ("factors", factors, 1)):
+        if _integer(name, value) < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelParams:
     """Uniform(-1/sqrt(D), 1/sqrt(D)) init; prototypes are resampled until
     pairwise |cos| <= 0.99 so factor assignments start informative."""
-    if num_nodes < 1:
-        raise ValueError(f"need at least one node, got {num_nodes}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if factors < 1:
-        raise ValueError(f"factors must be >= 1, got {factors}")
+    _check_sizes(num_nodes, dim, factors)
     bound = 1.0 / math.sqrt(dim)
 
     def uni(*shape):
@@ -262,10 +264,10 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     scale = 1.0 / math.sqrt(d)
     real = np.arange(width) < lengths[:, None]
     mask = np.tri(width, dtype=bool)[rows] & real[:, None, :]
-    attn = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
+    attn, attn_backward = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
 
-    unit_h, norm_h = unit_rows(hidden)
-    unit_p, norm_p = unit_rows(params.prototypes.data)
+    unit_h, unit_h_backward = unit_rows(hidden)
+    unit_p, unit_p_backward = unit_rows(params.prototypes.data)
     logits, tau = dot_rows(unit_h, unit_p) * scale, 1.0
     if gumbel is not None:
         if gumbel.rng is None:
@@ -273,21 +275,22 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
         # the noise is drawn here, onto the real rows, and held fixed in the backward
         logits[real] += gumbel.rng.clipped_gumbel((lengths.sum(), params.factors))
         tau = gumbel.tau
-    factors = softmax_rows(1.0 / tau * logits)
+    factors, factors_backward = softmax_rows(1.0 / tau * logits)
 
     # the weighted mix out[t, k] = sum_i attn[t, i] factors[i, k] hidden[i]: one GEMM
     # of attn against the (L, K*D) block fh[i, k] = factors[i, k] hidden[i] of each cascade
     fh = (factors[..., None] * hidden[:, :, None, :]).reshape(factors.shape[:2] + (-1,))
     mixed = (attn @ fh).reshape(attn.shape[:2] + (params.factors, d))
-    ys, xhat, inv = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
+    ys, ln_backward = layer_norm_rows(mixed, params.ln_gain.data, params.ln_bias.data)
 
     def backward(d_ys: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. ``hidden`` of sum(d_ys * ys), Gumbel noise held fixed; the
         prototypes' and layer norm's shares go to their grads."""
         # layer norm, then the weighted mix out = attn @ fh
-        params.ln_gain.grad += (d_ys * xhat).sum(axis=(0, 1, 2))
-        params.ln_bias.grad += d_ys.sum(axis=(0, 1, 2))
-        d_mixed = layer_norm_rows_backward(xhat, inv, params.ln_gain.data, d_ys).reshape(fh.shape)
+        d_mixed, d_gain, d_bias = ln_backward(d_ys)
+        params.ln_gain.grad += d_gain
+        params.ln_bias.grad += d_bias
+        d_mixed = d_mixed.reshape(fh.shape)
         d_attn = d_mixed @ fh.transpose(0, 2, 1)
         d_fh = (attn.transpose(0, 2, 1) @ d_mixed).reshape(d_ys.shape)
         del d_mixed  # each stage frees its (B, L, K*D) intermediates when done
@@ -296,13 +299,12 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
         del d_fh
 
         # factor softmax over scaled cosines, then the cosine through the norm clamp
-        d_cos = scale / tau * softmax_rows_backward(factors, d_factors)
-        d_hidden += unit_rows_backward(unit_h, norm_h, d_cos @ unit_p)
-        params.prototypes.grad += unit_rows_backward(
-            unit_p, norm_p, d_cos.reshape(-1, params.factors).T @ unit_h.reshape(-1, d))
+        d_cos = scale / tau * factors_backward(d_factors)
+        d_hidden += unit_h_backward(d_cos @ unit_p)
+        params.prototypes.grad += unit_p_backward(d_cos.reshape(-1, params.factors).T @ unit_h.reshape(-1, d))
 
         # causal attention over hidden @ hidden.T; masked entries have p = 0
-        d_logits = scale * softmax_rows_backward(attn, d_attn)
+        d_logits = scale * attn_backward(d_attn)
         d_hidden += d_logits @ hidden + d_logits.transpose(0, 2, 1) @ hidden
         return d_hidden
 
@@ -540,7 +542,8 @@ def _vocabulary_digest(vocabulary) -> Optional[str]:
 
 def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> None:
     """Write ``params`` and ``seed``, plus the digest of ``vocabulary`` (the
-    ``Vocabulary`` the node indices come from) when one is given."""
+    ``Vocabulary`` the node indices come from) when one is given.  A seed that
+    is not an integer is a ValueError, and nothing is written."""
     tensors = [
         {"name": name, "shape": list(p.data.shape)}
         for name, p in params.named_parameters()
@@ -550,7 +553,7 @@ def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> No
             "num_nodes": params.num_nodes,
             "dim": params.dim,
             "factors": params.factors,
-            "seed": int(seed),
+            "seed": _integer("seed", seed),
             "tensors": tensors,
             "vocabulary_sha256": _vocabulary_digest(vocabulary),
         },
@@ -568,10 +571,10 @@ def load_checkpoint(path, vocabulary=None):
     """Read a checkpoint back; returns (ModelParams, seed).
 
     Anything but an intact checkpoint raises ValueError: a wrong magic (format 1 included),
-    truncation, a malformed header (a size or seed that is not a JSON integer included), tensors
-    renamed or shaped other than ``num_nodes``/``dim``/``factors`` imply, trailing bytes, or a NaN
-    or infinite parameter.  So does a ``vocabulary`` whose digest differs from the stored one;
-    either side may be absent, and then nothing is compared.
+    truncation, a malformed header (a seed that is not a JSON integer, or sizes ``init_params``
+    refuses, included), tensors renamed or shaped other than ``num_nodes``/``dim``/``factors``
+    imply, trailing bytes, or a NaN or infinite parameter.  So does a ``vocabulary`` whose digest
+    differs from the stored one; either side may be absent, and then nothing is compared.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -585,10 +588,9 @@ def load_checkpoint(path, vocabulary=None):
     (hlen,) = struct.unpack_from("<Q", blob, len(_CKPT_MAGIC))
     try:
         header = json.loads(blob[start:start + hlen].decode())
-        sizes = tuple(header[key] for key in ("num_nodes", "dim", "factors", "seed"))
-        if any(type(value) is not int for value in sizes):  # a bool, float or string
-            raise TypeError(f"N, D, K and seed must be JSON integers, got {sizes}")
-        num_nodes, dim, factors, seed = sizes
+        num_nodes, dim, factors, seed = (header[key] for key in ("num_nodes", "dim", "factors", "seed"))
+        _check_sizes(num_nodes, dim, factors)
+        _integer("seed", seed)
         specs = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
         digest = header["vocabulary_sha256"]
         if digest is not None and not isinstance(digest, str):
@@ -598,8 +600,6 @@ def load_checkpoint(path, vocabulary=None):
     given = _vocabulary_digest(vocabulary)
     if digest is not None and given is not None and digest != given:
         raise ValueError(f"{path}: the checkpoint was trained on a different node vocabulary")
-    if num_nodes < 1 or dim < 2 or factors < 1:
-        raise ValueError(f"{path}: bad sizes N={num_nodes}, D={dim}, K={factors}")
     expected = list(zip(_PARAM_NAMES, _param_shapes(num_nodes, dim, factors)))
     if specs != expected:
         raise ValueError(

@@ -5,9 +5,9 @@ the named child streams derived from one root seed.  ``Parameter`` holds a
 trainable array and the gradient accumulated into it.  ``Tensor`` is a value
 paired with the closed-form rule that adds its gradient into the parameters
 it depends on; it records no graph.  The array kernels the model's stages
-call (row gather, sigmoid, masked softmax, row dot products, unit rows,
-layer norm) sit beside the backward rules of those that have one.  All
-arithmetic is float64; gradient checks are meaningless at single precision.
+call are row gather, sigmoid, masked softmax, row dot products, unit rows and
+layer norm; as the stages do, the last three return their output and its
+backward, a closure.  All float64: gradient checks fail at single precision.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the forward's kernels, named by the stage that calls them, and their
-# backward rules.  Plain float64 arrays in and out.
+# the forward's kernels, named by the stage that calls them.  Plain float64
+# arrays in and out; a kernel with a derivative returns its backward beside it.
 
 
 def gather_rows(table: np.ndarray, idx) -> np.ndarray:
@@ -122,8 +122,9 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def softmax_rows(logits, mask=None) -> np.ndarray:
-    """Normalized exponentials along the last axis, max-subtracted.
+def softmax_rows(logits, mask=None):
+    """Normalized exponentials ``p`` along the last axis, max-subtracted, and their
+    backward: it maps g to the gradient w.r.t. the logits of sum(g * p).
 
     ``mask`` (same shape, True = keep) forces masked positions to exactly 0.
     Raises ValueError on empty input or a fully masked row.
@@ -142,12 +143,12 @@ def softmax_rows(logits, mask=None) -> np.ndarray:
         e = np.where(m, e, 0.0)
     else:
         e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
+    def backward(g: np.ndarray) -> np.ndarray:
+        return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
-def softmax_rows_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the logits of sum(g * p), where p = softmax_rows(logits)."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    return p, backward
 
 
 def dot_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -159,37 +160,34 @@ def dot_rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(x: np.ndarray):
-    """L2-normalize the last axis, clamping the norm below at NORM_FLOOR.
-
-    Returns the unit rows and the unclamped norms, which the backward needs.
-    """
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.maximum(norms, NORM_FLOOR), norms
-
-
-def unit_rows_backward(y: np.ndarray, norms: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. x of sum(g * y), where y, norms = unit_rows(x).  Where
+    """L2-normalize the last axis, clamping the norm below at NORM_FLOOR.  Returns the unit
+    rows y and their backward, which maps g to the gradient w.r.t. x of sum(g * y); where
     the clamp froze the denominator only the direct term remains."""
-    free = norms >= NORM_FLOOR
-    inner = (g * y).sum(axis=-1, keepdims=True)
-    return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    y = x / np.maximum(norms, NORM_FLOOR)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        free = norms >= NORM_FLOOR
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        return (g - free * inner * y) / np.maximum(norms, NORM_FLOOR)
+
+    return y, backward
 
 
 def layer_norm_rows(x: np.ndarray, gain, bias):
     """Normalize the last axis to zero mean and unit population variance,
     then apply the length-D ``gain`` and ``bias``; a constant row maps to
-    ``bias``.  Returns the output, the normalized rows and 1/std."""
+    ``bias``.  Returns the output and its backward, which maps g to the gradients
+    (d_x, d_gain, d_bias) of sum(g * output), the last two summed over the leading axes."""
     mean = x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
     xhat = (x - mean) * inv
-    return xhat * gain + bias, xhat, inv
 
+    def backward(g: np.ndarray):
+        rows = tuple(range(g.ndim - 1))
+        d_gain, d_bias = (g * xhat).sum(axis=rows), g.sum(axis=rows)
+        dxhat = g * gain
+        d_x = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return inv * d_x, d_gain, d_bias
 
-def layer_norm_rows_backward(xhat: np.ndarray, inv: np.ndarray, gain, g: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. x of sum(g * layer_norm_rows(x, gain, bias)[0])."""
-    dxhat = g * gain
-    return inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    return xhat * gain + bias, backward

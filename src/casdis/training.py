@@ -51,7 +51,7 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience", "lr_patience", "k", "d", "max_len", "seed"):
             _integer(name, getattr(self, name))
         if not 0 < self.lr_init < math.inf or self.batch_size < 1 or self.max_epochs < 0:  # also refuses NaN
-            raise ValueError("lr_init must be finite and positive, batch_size and max_epochs positive")
+            raise ValueError("lr_init must be finite and positive, batch_size >= 1 and max_epochs >= 0")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         if not 0.0 <= self.dropout_rate < 1.0:

@@ -320,3 +320,21 @@ def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
         values = [report.hits[n] for n in (1, 3, 10)] + [report.maps[n] for n in (1, 3, 10)]
         expect.append(",".join([str(k), "8"] + [f"{v:.6f}" for v in values]))
     assert rows[1:] == expect and expect[0][1:] != expect[1][1:]  # the two cells are told apart
+    # the echo holds the lists swept, not the single k and d they default to
+    lines = (out / "config.resolved").read_text().splitlines()
+    assert "k_list=1,2" in lines and "d_list=8" in lines
+    assert not [line for line in lines if line.partition("=")[0] in ("k", "d")]
+
+
+def test_ablate_takes_its_default_lists_from_k_and_d(workspace):
+    # with no --k-list or --d-list, a config-file k= and a --d flag each sweep one value
+    tmp_path, data, _ = workspace
+    conf = tmp_path / "ablate.conf"
+    conf.write_text("k=3\n", encoding="utf-8")
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--config", str(conf), "--d", "4", "--epochs", "1", "--n-list", "5",
+            "--data", str(data), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert [row.split(",")[:2] for row in (out / "ablation.csv").read_text().splitlines()] == [["k", "d"], ["3", "4"]]
+    lines = (out / "config.resolved").read_text().splitlines()
+    assert "k_list=3" in lines and "d_list=4" in lines

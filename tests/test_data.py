@@ -126,6 +126,13 @@ def test_batches_reject_bad_size():
         dt.make_batches([[0, 1]], batch_size=0)
 
 
+@pytest.mark.parametrize("batch_size", [True, 2.0, "2"], ids=["bool", "float", "string"])
+def test_batches_refuse_a_size_that_is_not_an_integer(batch_size):
+    # True made batches of one cascade
+    with pytest.raises(ValueError, match="batch_size must be an integer"):
+        dt.make_batches([[0, 1]] * 3, batch_size)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

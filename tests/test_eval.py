@@ -87,6 +87,25 @@ def test_metrics_reject_empty():
         ev.map_at_n([], 10)
 
 
+BAD_CUTOFFS = [(True, "integer"), (2.5, "integer"), ("3", "integer"), (0, ">= 1"), (-3, ">= 1")]
+
+
+@pytest.mark.parametrize("n, message", BAD_CUTOFFS, ids=["bool", "float", "string", "zero", "negative"])
+@pytest.mark.parametrize("metric", [ev.hits_at_n, ev.map_at_n], ids=["hits", "map"])
+def test_metrics_refuse_a_cutoff_that_is_not_an_integer_of_at_least_one(metric, n, message):
+    with pytest.raises(ValueError, match=message):
+        metric([1, 2, 5], n)
+
+
+@pytest.mark.parametrize("n, message", BAD_CUTOFFS, ids=["bool", "float", "string", "zero", "negative"])
+def test_evaluate_refuses_a_cutoff_that_is_not_an_integer_of_at_least_one(n, message):
+    # each was accepted and reported under its own key: hits@True counted the ranks <= 1
+    params = md.init_params(6, 4, 2, RngState(0))
+    with pytest.raises(ValueError, match=message):
+        ev.evaluate(params, [[0, 3, 1], [2, 5]], (10, n))
+    assert ev.evaluate(params, [[0, 3, 1], [2, 5]], (np.int64(1), 10)).hits.keys() == {1, 10}
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

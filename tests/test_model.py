@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from casdis.data import DatasetSplit
 from casdis.numerics import RngState, sigmoid
 
 from finite_difference import finite_difference_gradient
+from test_cli import _rewrite_header
 from test_numerics import max_rel_err
 
 
@@ -734,13 +736,35 @@ def test_init_draws_prototypes_last():
     assert [m.prototypes.data.shape for m in models] == [(1, 6), (2, 6), (4, 6)]
 
 
-def test_init_validations():
-    with pytest.raises(ValueError):
-        md.init_params(0, 4, 2, RngState(0))
-    with pytest.raises(ValueError):
-        md.init_params(5, 1, 2, RngState(0))
-    with pytest.raises(ValueError):
-        md.init_params(5, 4, 0, RngState(0))
+# (N, D, K) that a built or a loaded model refuses, and the size named in the refusal
+BAD_SIZES = {
+    "bool_nodes": ((True, 4, 2), "num_nodes"), "float_nodes": ((5.0, 4, 2), "num_nodes"),
+    "no_nodes": ((0, 4, 2), "num_nodes"), "string_dim": ((5, "4", 2), "dim"), "float_dim": ((5, 4.0, 2), "dim"),
+    "dim_1": ((5, 1, 2), "dim"), "bool_factors": ((5, 4, True), "factors"),
+    "float_factors": ((5, 4, 2.0), "factors"), "no_factors": ((5, 4, 0), "factors"),
+}
+
+
+@pytest.mark.parametrize("sizes, name", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_init_params_refuses_bad_sizes_by_name(sizes, name):
+    # True nodes built a 1-node model, and True factors failed with a TypeError
+    with pytest.raises(ValueError, match=name):
+        md.init_params(*sizes, RngState(0))
+
+
+@pytest.mark.parametrize("sizes, name", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_load_checkpoint_refuses_bad_sizes_by_name(tmp_path, sizes, name):
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, small_params(num_nodes=5, dim=4, factors=2), seed=1)
+    rewrite = dict(zip(("num_nodes", "dim", "factors"), sizes))
+    path.write_bytes(_rewrite_header(path.read_bytes(), lambda header: header.update(rewrite)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{name}"):
+        md.load_checkpoint(path)
+
+
+def test_init_params_takes_numpy_integer_sizes():
+    params = md.init_params(np.int64(5), np.int32(4), np.uint8(2), RngState(0))
+    assert (params.num_nodes, params.dim, params.factors) == (5, 4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +804,17 @@ def test_clone_and_loaded_checkpoint_own_writable_copies(tmp_path):
     assert path.read_bytes() == stored
     for p, want in zip(md.load_checkpoint(path)[0].parameters(), source):
         assert np.array_equal(p.data, want), p.name
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "string", "bool"])
+def test_save_checkpoint_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
+    # each was stored cut to an integer (1.5 and True as 1, "7" as 7), and eval split with it
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        md.save_checkpoint(path, small_params(), seed)
+    assert not path.exists()
+    md.save_checkpoint(path, small_params(), np.int64(7))
+    assert md.load_checkpoint(path)[1] == 7
 
 
 def test_checkpoint_writes_are_byte_identical(tmp_path):

@@ -28,14 +28,18 @@ def check_rule(f, grads, params, h=1e-5, tol=1e-4):
 # softmax
 
 
+def softmax(logits, mask=None):
+    return nm.softmax_rows(logits, mask)[0]
+
+
 def test_softmax_equal_logits_is_uniform():
-    out = nm.softmax_rows([0.0, 0.0, 0.0])
+    out = softmax([0.0, 0.0, 0.0])
     assert np.allclose(out, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_softmax_single_unmasked_position():
-    out = nm.softmax_rows([5.0, -123.0], mask=[True, False])
+    out = softmax([5.0, -123.0], mask=[True, False])
     assert out[0] == 1.0
     assert out[1] == 0.0
 
@@ -43,7 +47,7 @@ def test_softmax_single_unmasked_position():
 def test_softmax_two_logits_matches_direct_evaluation():
     # oracle: e^0.5 / (e^0.5 + e^0) computed directly
     expect = math.exp(0.5) / (math.exp(0.5) + 1.0)
-    out = nm.softmax_rows([0.5, 0.0])
+    out = softmax([0.5, 0.0])
     assert abs(out[0] - expect) < 1e-5
     assert abs(out[0] - 0.62246) < 1e-5
     assert abs(out[1] - 0.37754) < 1e-5
@@ -53,12 +57,12 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     for _ in range(20):
         x = rng.normal(size=7) * 10
-        shifted = nm.softmax_rows(x + 123.456)
-        assert np.max(np.abs(shifted - nm.softmax_rows(x))) < 1e-9
+        shifted = softmax(x + 123.456)
+        assert np.max(np.abs(shifted - softmax(x))) < 1e-9
 
 
 def test_softmax_handles_large_logits():
-    out = nm.softmax_rows([1000.0, 1000.0, -1000.0])
+    out = softmax([1000.0, 1000.0, -1000.0])
     assert np.isfinite(out).all()
     assert abs(out.sum() - 1.0) < 1e-9
 
@@ -76,7 +80,7 @@ def test_softmax_masked_rows_are_exactly_zero():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 6))
     mask = np.tril(np.ones((4, 6), dtype=bool))
-    out = nm.softmax_rows(x, mask)
+    out = softmax(x, mask)
     assert (out[~mask] == 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
 
@@ -240,7 +244,7 @@ class _ConstantRng(RngState):
 
 def gumbel_softmax(logits, tau, rng):
     x = np.asarray(logits, dtype=np.float64)
-    return nm.softmax_rows(1.0 / tau * (x + rng.clipped_gumbel(x.shape)))
+    return softmax(1.0 / tau * (x + rng.clipped_gumbel(x.shape)))
 
 
 def test_gumbel_equal_logits_identical_noise():
@@ -294,7 +298,7 @@ def test_fd_of_square():
 
 def test_fd_of_constant_function():
     p = Parameter(np.array([0.4, -1.2, 0.0]), "x")
-    (grad,) = finite_difference_gradient(lambda: float(nm.softmax_rows(p.data).sum()), [p], h=1e-5)
+    (grad,) = finite_difference_gradient(lambda: float(softmax(p.data).sum()), [p], h=1e-5)
     assert np.max(np.abs(grad)) < 1e-7
 
 
@@ -311,7 +315,7 @@ def test_fd_rejects_bad_step():
 
 
 # ---------------------------------------------------------------------------
-# the kernels' backward rules vs the oracle, each for sum(w * kernel(x))
+# the backward each kernel returns vs the oracle, each for sum(w * kernel(x))
 
 
 def test_grad_softmax_rows():
@@ -320,19 +324,21 @@ def test_grad_softmax_rows():
     w = rng.normal(size=(4, 6))
     mask = np.tril(np.ones((4, 6), dtype=bool))
     for scale, m in ((0.5, None), (1.3, mask)):
-        grad = scale * nm.softmax_rows_backward(nm.softmax_rows(scale * x.data, m), w)
-        check_rule(lambda: (w * nm.softmax_rows(scale * x.data, m)).sum(), [grad], [x])
+        grad = scale * nm.softmax_rows(scale * x.data, m)[1](w)
+        check_rule(lambda: (w * softmax(scale * x.data, m)).sum(), [grad], [x])
 
 
 def test_grad_layer_norm_rows():
+    # all three gradients the backward gives: the rows, and the gain and bias summed over every leading axis
     rng = np.random.default_rng(15)
-    gain = rng.uniform(0.5, 1.5, size=6)
-    for shape in ((5, 6), (3, 2, 6)):
+    gain = Parameter(rng.uniform(0.5, 1.5, size=6), "gain")
+    bias = Parameter(rng.normal(size=6), "bias")
+    for shape in ((5, 6), (3, 2, 6), (2, 3, 2, 6)):
         x = Parameter(rng.normal(size=shape), "x")
         w = rng.normal(size=shape)
-        _, xhat, inv = nm.layer_norm_rows(x.data, gain, 0.3)
-        grad = nm.layer_norm_rows_backward(xhat, inv, gain, w)
-        check_rule(lambda: (w * nm.layer_norm_rows(x.data, gain, 0.3)[0]).sum(), [grad], [x])
+        grads = nm.layer_norm_rows(x.data, gain.data, bias.data)[1](w)
+        assert [g.shape for g in grads] == [shape, (6,), (6,)]
+        check_rule(lambda: (w * nm.layer_norm_rows(x.data, gain.data, bias.data)[0]).sum(), grads, [x, gain, bias])
 
 
 def test_grad_unit_rows_and_cosine():
@@ -341,12 +347,12 @@ def test_grad_unit_rows_and_cosine():
     a = Parameter(rng.normal(size=(3, 5)), "a")
     b = Parameter(rng.normal(size=(4, 5)), "b")
     w = rng.normal(size=(3, 4))
-    (ua, na), (ub, nb) = nm.unit_rows(a.data), nm.unit_rows(b.data)
-    grads = [nm.unit_rows_backward(ua, na, w @ ub), nm.unit_rows_backward(ub, nb, w.T @ ua)]
+    (ua, a_backward), (ub, b_backward) = nm.unit_rows(a.data), nm.unit_rows(b.data)
+    grads = [a_backward(w @ ub), b_backward(w.T @ ua)]
     check_rule(lambda: (w * (nm.unit_rows(a.data)[0] @ nm.unit_rows(b.data)[0].T)).sum(), grads, [a, b])
     # below the clamp the norm is a constant and only the direct term remains
     tiny = np.full((1, 3), 1e-14)
-    assert (nm.unit_rows_backward(*nm.unit_rows(tiny), np.ones((1, 3))) == 1.0 / nm.NORM_FLOOR).all()
+    assert (nm.unit_rows(tiny)[1](np.ones((1, 3))) == 1.0 / nm.NORM_FLOOR).all()
 
 
 def test_grad_gumbel_with_frozen_noise():
@@ -360,8 +366,8 @@ def test_grad_gumbel_with_frozen_noise():
     def sample():
         return nm.softmax_rows(1.0 / tau * (logits.data * scale + noise))
 
-    grad = scale / tau * nm.softmax_rows_backward(sample(), w)
-    check_rule(lambda: (w * sample()).sum(), [grad], [logits])
+    grad = scale / tau * sample()[1](w)
+    check_rule(lambda: (w * sample()[0]).sum(), [grad], [logits])
 
 
 def test_gradient_accumulation_until_reset():
@@ -384,7 +390,7 @@ def test_finite_outputs_on_random_pipelines():
     rng = np.random.default_rng(22)
     for _ in range(10):
         x = rng.normal(size=(5, 6)) * 50
-        out, _, _ = nm.layer_norm_rows(nm.softmax_rows(2.0 * x), np.ones(6), np.zeros(6))
+        out, _ = nm.layer_norm_rows(softmax(2.0 * x), np.ones(6), np.zeros(6))
         assert np.isfinite(out).all()
 
 
