@@ -109,7 +109,7 @@ def read_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliError(EXIT_INPUT, f"cannot read config file {path}: {err}")
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

@@ -90,9 +90,11 @@ def evaluate(
 ) -> EvalReport:
     """hits@N and map@N over all prediction points of ``cascades``, scored as one
     batch by ``collect_ranks``; a node index out of range anywhere, or a cutoff N that
-    is not an integer >= 1, raises ValueError."""
+    is not an integer >= 1, raises ValueError, the cutoffs before any scoring."""
     if not cascades:
         raise ValueError("evaluate needs a non-empty cascade list")
+    for n in n_values:
+        _check_cutoff(n)
     ranks = collect_ranks(params, cascades)
     if not ranks:
         raise ValueError("no prediction points (all cascades shorter than 2)")

@@ -183,13 +183,21 @@ class CascadeForward:
     step_losses: np.ndarray      # (t,)
 
 
+def _check_dropout_rate(rate) -> None:
+    """ValueError unless the dropout ``rate`` is in [0, 1); NaN is refused too."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0,1), got {rate}")
+
+
 def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, dropout_rate: float,
                 dropout_rng: Optional[RngState]):
     """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades, and
     their backward.  Row b of the (B, L) ``positions`` holds a cascade in its first
     ``lengths[b]`` entries, then padding, so a padded step never feeds a real one.
     Dropout runs iff ``dropout_rate > 0``, its mask drawn in one call for the real positions
-    in row-major order (cascade by cascade).  The update and reset gates live in one (B, L, 2D) block."""
+    in row-major order (cascade by cascade); a rate outside [0, 1) is a ValueError.  The
+    update and reset gates live in one (B, L, 2D) block."""
+    _check_dropout_rate(dropout_rate)
     (b, width), d = positions.shape, params.dim
     real = np.arange(width) < lengths[:, None]
     xe = gather_rows(params.embeddings.data, positions)
@@ -264,7 +272,7 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     scale = 1.0 / math.sqrt(d)
     real = np.arange(width) < lengths[:, None]
     mask = np.tri(width, dtype=bool)[rows] & real[:, None, :]
-    attn, attn_backward = softmax_rows(scale * dot_rows(hidden[:, rows], hidden), mask)
+    attn, attn_backward = softmax_rows(np.where(mask, scale * dot_rows(hidden[:, rows], hidden), -np.inf))
 
     unit_h, unit_h_backward = unit_rows(hidden)
     unit_p, unit_p_backward = unit_rows(params.prototypes.data)

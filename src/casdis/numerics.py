@@ -5,9 +5,10 @@ the named child streams derived from one root seed.  ``Parameter`` holds a
 trainable array and the gradient accumulated into it.  ``Tensor`` is a value
 paired with the closed-form rule that adds its gradient into the parameters
 it depends on; it records no graph.  The array kernels the model's stages
-call are row gather, sigmoid, masked softmax, row dot products, unit rows and
-layer norm; as the stages do, the last three return their output and its
-backward, a closure.  All float64: gradient checks fail at single precision.
+call are row gather, sigmoid, softmax (a logit of -inf masks its position),
+row dot products, unit rows and layer norm; as the stages do, the last three
+return their output and its backward, a closure.  All float64: gradient
+checks fail at single precision.
 """
 
 from __future__ import annotations
@@ -122,27 +123,17 @@ def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def softmax_rows(logits, mask=None):
+def softmax_rows(logits):
     """Normalized exponentials ``p`` along the last axis, max-subtracted, and their
-    backward: it maps g to the gradient w.r.t. the logits of sum(g * p).
-
-    ``mask`` (same shape, True = keep) forces masked positions to exactly 0.
-    Raises ValueError on empty input or a fully masked row.
-    """
+    backward: it maps g to the gradient w.r.t. the logits of sum(g * p).  A logit of -inf
+    masks its position, whose p is exactly 0; empty input or a row of -inf only is a ValueError."""
     x = np.asarray(logits, dtype=np.float64)
     if x.size == 0:
         raise ValueError("softmax of empty input")
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.shape:
-            raise ValueError(f"mask shape {m.shape} != logits shape {x.shape}")
-        if not m.any(axis=-1).all():
-            raise ValueError("softmax row is fully masked")
-        shifted = np.where(m, x, -np.inf)
-        e = np.exp(shifted - shifted.max(axis=-1, keepdims=True))
-        e = np.where(m, e, 0.0)
-    else:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    top = x.max(axis=-1, keepdims=True)
+    if np.isneginf(top).any():
+        raise ValueError("softmax row is all -inf")
+    e = np.exp(x - top)
     p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import DatasetSplit, make_batches
-from .model import GumbelConfig, ModelParams, _node_indices, _step_losses, batch_loss, batch_scores, init_params
+from .model import (
+    GumbelConfig, ModelParams, _check_dropout_rate, _node_indices, _step_losses, batch_loss, batch_scores, init_params,
+)
 from .numerics import RngState, _integer
 
 log = logging.getLogger(__name__)
@@ -54,8 +56,7 @@ class TrainConfig:
             raise ValueError("lr_init must be finite and positive, batch_size >= 1 and max_epochs >= 0")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
+        _check_dropout_rate(self.dropout_rate)
         GumbelConfig(tau=self.tau)  # the factor softmax's checks on tau
         if self.patience < 1 or self.lr_patience < 1:
             raise ValueError(f"patience and lr_patience must be >= 1, got {self.patience}, {self.lr_patience}")

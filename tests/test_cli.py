@@ -212,6 +212,14 @@ def test_unreadable_config_file_exits_with_the_input_code(tmp_path):
     assert cli.main(["synth", "--config", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
 
 
+def test_config_file_that_is_not_utf8_exits_with_the_input_code(tmp_path, capsys):
+    conf = tmp_path / "synth.conf"
+    conf.write_bytes(b"seed=1\n# \xff\n")
+    assert cli.main(["synth", "--config", str(conf), "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+    assert f"cannot read config file {conf}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("line", ["seed=abc", "epochs=1.5", "gumbel=On", "lr=fast"])
 def test_bad_config_file_value_is_a_usage_error(workspace, capsys, line):
     tmp_path, data, _ = workspace

@@ -106,6 +106,15 @@ def test_evaluate_refuses_a_cutoff_that_is_not_an_integer_of_at_least_one(n, mes
     assert ev.evaluate(params, [[0, 3, 1], [2, 5]], (np.int64(1), 10)).hits.keys() == {1, 10}
 
 
+def test_evaluate_refuses_a_bad_cutoff_before_it_scores(monkeypatch):
+    def no_scoring(params, batch):
+        raise AssertionError("scored before the cutoffs were checked")
+
+    monkeypatch.setattr(ev, "batch_scores", no_scoring)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ev.evaluate(md.init_params(6, 4, 2, RngState(0)), [[0, 3, 1], [2, 5]], (0,))
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 

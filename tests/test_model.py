@@ -409,6 +409,18 @@ def test_forward_training_dropout_draws_are_seeded():
     assert float(a.loss.data) == float(b.loss.data)
 
 
+@pytest.mark.parametrize("rate", [math.nan, -0.5, 1.0, 1.5, math.inf])
+def test_training_calls_refuse_a_dropout_rate_outside_zero_to_one(rate):
+    # a rate >= 1 would zero every input (or divide by zero), a negative or NaN rate would
+    # silently run without dropout; both calls refuse it before writing any gradient
+    params = small_params(seed=19)
+    with pytest.raises(ValueError, match="dropout_rate"):
+        md.batch_loss(params, [[0, 1, 2, 3]], 1.0, None, rate, RngState(1))
+    with pytest.raises(ValueError, match="dropout_rate"):
+        md.forward_cascade(params, [0, 1, 2, 3], training=True, dropout_rate=rate, dropout_rng=RngState(1))
+    assert all((p.grad == 0.0).all() for p in params.parameters())
+
+
 # ---------------------------------------------------------------------------
 # the batch pipeline against the per-cascade path
 

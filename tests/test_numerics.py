@@ -28,8 +28,8 @@ def check_rule(f, grads, params, h=1e-5, tol=1e-4):
 # softmax
 
 
-def softmax(logits, mask=None):
-    return nm.softmax_rows(logits, mask)[0]
+def softmax(logits):
+    return nm.softmax_rows(logits)[0]
 
 
 def test_softmax_equal_logits_is_uniform():
@@ -39,7 +39,7 @@ def test_softmax_equal_logits_is_uniform():
 
 
 def test_softmax_single_unmasked_position():
-    out = softmax([5.0, -123.0], mask=[True, False])
+    out = softmax([5.0, -np.inf])
     assert out[0] == 1.0
     assert out[1] == 0.0
 
@@ -71,18 +71,19 @@ def test_softmax_errors():
     with pytest.raises(ValueError):
         nm.softmax_rows([])
     with pytest.raises(ValueError):
-        nm.softmax_rows([1.0, 2.0], mask=[False, False])
-    with pytest.raises(ValueError):
-        nm.softmax_rows([1.0, 2.0], mask=[True])
+        nm.softmax_rows([-np.inf, -np.inf])
+    with pytest.raises(ValueError, match="-inf"):
+        nm.softmax_rows([[0.0, 1.0], [-np.inf, -np.inf]])
 
 
 def test_softmax_masked_rows_are_exactly_zero():
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(4, 6))
-    mask = np.tril(np.ones((4, 6), dtype=bool))
-    out = softmax(x, mask)
-    assert (out[~mask] == 0.0).all()
+    keep = np.tril(np.ones((4, 6), dtype=bool))
+    x = np.where(keep, rng.normal(size=(4, 6)), -np.inf)
+    out, backward = nm.softmax_rows(x)
+    assert (out[~keep] == 0.0).all()
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-9
+    assert (backward(rng.normal(size=(4, 6)))[~keep] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +323,11 @@ def test_grad_softmax_rows():
     rng = np.random.default_rng(14)
     x = Parameter(rng.normal(size=(4, 6)), "x")
     w = rng.normal(size=(4, 6))
-    mask = np.tril(np.ones((4, 6), dtype=bool))
-    for scale, m in ((0.5, None), (1.3, mask)):
-        grad = scale * nm.softmax_rows(scale * x.data, m)[1](w)
-        check_rule(lambda: (w * softmax(scale * x.data, m)).sum(), [grad], [x])
+    # the masked case: -inf logits off the lower triangle, as the model's causal attention writes them
+    masked = np.where(np.tril(np.ones((4, 6), dtype=bool)), 0.0, -np.inf)
+    for scale, m in ((0.5, 0.0), (1.3, masked)):
+        grad = scale * nm.softmax_rows(scale * x.data + m)[1](w)
+        check_rule(lambda: (w * softmax(scale * x.data + m)).sum(), [grad], [x])
 
 
 def test_grad_layer_norm_rows():
