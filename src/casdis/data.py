@@ -111,8 +111,7 @@ def split_dataset(cascades: Sequence[Sequence[int]], seed: int) -> DatasetSplit:
 def make_batches(cascades: Sequence[Sequence[int]], batch_size: int) -> List[List[Sequence[int]]]:
     """Group cascades in order into batches, each a list of at most ``batch_size``
     of them, as they are: nothing is checked or cut here."""
-    if _integer("batch_size", batch_size) < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    _integer("batch_size", batch_size, 1)
     return [list(cascades[start:start + batch_size]) for start in range(0, len(cascades), batch_size)]
 
 
@@ -130,15 +129,13 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        for name in ("communities", "nodes_per_community", "cascades", "seed"):
-            _integer(name, getattr(self, name))
-        lo, hi = (_integer("length_range", end) for end in self.length_range)
-        if self.communities < 1 or self.nodes_per_community < 1 or self.cascades < 1:
-            raise ValueError("communities, nodes_per_community and cascades must be positive")
+        for name, least in (("communities", 1), ("nodes_per_community", 1), ("cascades", 1), ("seed", None)):
+            _integer(name, getattr(self, name), least)
+        lo, hi = (_integer("length_range", end, 2) for end in self.length_range)
         if not 0.0 <= self.cross_community_prob <= 1.0:
             raise ValueError(f"cross_community_prob must be in [0,1], got {self.cross_community_prob}")
-        if lo < 2 or hi < lo:
-            raise ValueError(f"length_range must satisfy 2 <= min <= max, got {self.length_range}")
+        if hi < lo:
+            raise ValueError(f"length_range must satisfy min <= max, got {self.length_range}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Tuple[List[List[str]], Dict[str, int]]:

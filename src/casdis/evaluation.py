@@ -40,21 +40,14 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
     s = np.asarray(scores, dtype=np.float64)
-    _integer("target", target)
-    if not 0 <= target < len(s):
+    if _integer("target", target, 0) >= len(s):
         raise ValueError(f"target {target} out of range for {len(s)} scores")
     return int(_ranks(s[None], [target])[0])
 
 
-def _check_cutoff(n) -> None:
-    """ValueError unless the cutoff ``n`` is an integer >= 1."""
-    if _integer("n", n) < 1:
-        raise ValueError(f"the cutoff n must be >= 1, got {n}")
-
-
 def hits_at_n(ranks: Sequence[int], n: int) -> float:
     """Fraction of prediction points ranked within the top n, an integer >= 1."""
-    _check_cutoff(n)
+    _integer("n", n, 1)
     r = np.asarray(ranks)
     if r.size == 0:
         raise ValueError("hits_at_n of empty rank list")
@@ -66,7 +59,7 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
 
     With exactly one relevant item per point this is the average precision.
     """
-    _check_cutoff(n)
+    _integer("n", n, 1)
     r = np.asarray(ranks, dtype=np.float64)
     if r.size == 0:
         raise ValueError("map_at_n of empty rank list")
@@ -94,7 +87,7 @@ def evaluate(
     if not cascades:
         raise ValueError("evaluate needs a non-empty cascade list")
     for n in n_values:
-        _check_cutoff(n)
+        _integer("n", n, 1)
     ranks = collect_ranks(params, cascades)
     if not ranks:
         raise ValueError("no prediction points (all cascades shorter than 2)")

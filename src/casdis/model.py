@@ -128,8 +128,7 @@ class ModelParams:
 def _check_sizes(num_nodes, dim, factors) -> None:
     """The size rule of a model, built or loaded: integers N >= 1, D >= 2 and K >= 1, else ValueError."""
     for name, value, least in (("num_nodes", num_nodes, 1), ("dim", dim, 2), ("factors", factors, 1)):
-        if _integer(name, value) < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+        _integer(name, value, least)
 
 
 def init_params(num_nodes: int, dim: int, factors: int, rng: RngState) -> ModelParams:
@@ -189,22 +188,29 @@ def _check_dropout_rate(rate) -> None:
         raise ValueError(f"dropout_rate must be in [0,1), got {rate}")
 
 
+def _check_noise(gumbel: Optional[GumbelConfig], dropout_rate: float, dropout_rng: Optional[RngState]) -> None:
+    """ValueError for a dropout rate outside [0, 1) or a noise without its rng; checked before any cascade runs,
+    so the refusal does not depend on the data."""
+    _check_dropout_rate(dropout_rate)
+    if dropout_rate > 0.0 and dropout_rng is None:
+        raise ValueError("dropout requested but no rng given")
+    if gumbel is not None and gumbel.rng is None:
+        raise ValueError("gumbel noise requested but no rng given")
+
+
 def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray, dropout_rate: float,
                 dropout_rng: Optional[RngState]):
     """Embedding gather, dropout and GRU states ``hidden`` (B, L, D) of B cascades, and
     their backward.  Row b of the (B, L) ``positions`` holds a cascade in its first
     ``lengths[b]`` entries, then padding, so a padded step never feeds a real one.
     Dropout runs iff ``dropout_rate > 0``, its mask drawn in one call for the real positions
-    in row-major order (cascade by cascade); a rate outside [0, 1) is a ValueError.  The
-    update and reset gates live in one (B, L, 2D) block."""
-    _check_dropout_rate(dropout_rate)
+    in row-major order (cascade by cascade); the caller checks the rate and rng (``_check_noise``).
+    The update and reset gates live in one (B, L, 2D) block."""
     (b, width), d = positions.shape, params.dim
     real = np.arange(width) < lengths[:, None]
     xe = gather_rows(params.embeddings.data, positions)
     keep = None
     if dropout_rate > 0.0:
-        if dropout_rng is None:
-            raise ValueError("dropout requested but no rng given")
         keep = np.zeros((b, width, d), dtype=bool)
         keep[real] = dropout_rng.random((lengths.sum(), d)) >= dropout_rate
         xe *= np.where(keep, 1.0 / (1.0 - dropout_rate), 0.0)
@@ -278,8 +284,6 @@ def _head(params: ModelParams, hidden: np.ndarray, lengths: np.ndarray, gumbel: 
     unit_p, unit_p_backward = unit_rows(params.prototypes.data)
     logits, tau = dot_rows(unit_h, unit_p) * scale, 1.0
     if gumbel is not None:
-        if gumbel.rng is None:
-            raise ValueError("gumbel noise requested but no rng given")
         # the noise is drawn here, onto the real rows, and held fixed in the backward
         logits[real] += gumbel.rng.clipped_gumbel((lengths.sum(), params.factors))
         tau = gumbel.tau
@@ -403,6 +407,7 @@ def _chunks(params: ModelParams, batch, grad: bool, gumbel: Optional[GumbelConfi
     chunk of a group (``_CHUNK_ELEMENTS``), both cut by ``_runs``.  Yields each live cascade in row order: its row,
     its candidate states ``ys`` (t, K, D) and, if ``grad``, a zero ``d_ys`` view for the caller to fill (else
     None); a chunk's head backward runs after its last cascade, a group's recurrence backward after its last."""
+    _check_noise(gumbel, dropout_rate, dropout_rng)
     cascades = [_node_indices(params, cascade) for cascade in batch]
     points = np.array([len(c) - 1 for c in cascades], dtype=np.intp)
     live = np.flatnonzero(points >= 1)
@@ -476,6 +481,7 @@ def forward_cascade(
     """
     if not training:
         gumbel, dropout_rate = None, 0.0
+    _check_noise(gumbel, dropout_rate, dropout_rng)
     idx = _node_indices(params, cascade)
     if len(idx) < 2:
         raise ValueError(f"cascade of length {len(idx)} has no prediction point")
@@ -516,8 +522,7 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
     no factor index (see ``_score_rows``), and only the nodes that tie with or
     beat the n-th best score are sorted.
     """
-    _integer("n", n)
-    if n < 0 or n > params.num_nodes:
+    if _integer("n", n, 0) > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
     neg = -_eval_scores(params, prefix, slice(-1, None))[0]
     if n == 0:
@@ -551,11 +556,12 @@ def _vocabulary_digest(vocabulary) -> Optional[str]:
 def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> None:
     """Write ``params`` and ``seed``, plus the digest of ``vocabulary`` (the
     ``Vocabulary`` the node indices come from) when one is given.  A seed that
-    is not an integer is a ValueError, and nothing is written."""
-    tensors = [
-        {"name": name, "shape": list(p.data.shape)}
-        for name, p in params.named_parameters()
-    ]
+    is not an integer, or a NaN or infinite parameter, is a ValueError, and nothing is written."""
+    tensors = []
+    for name, p in params.named_parameters():
+        if not np.isfinite(p.data).all():  # load_checkpoint would refuse it
+            raise ValueError(f"{path}: parameter {name} holds a NaN or infinite value")
+        tensors.append({"name": name, "shape": list(p.data.shape)})
     header = json.dumps(
         {
             "num_nodes": params.num_nodes,

@@ -33,11 +33,14 @@ LN_EPS = 1e-8
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, least=None) -> int:
     """``value`` as an int if it is a ``numbers.Integral`` other than a bool (a numpy integer
-    passes; a float, string or 0-d array does not), else ValueError naming it ``name``."""
+    passes; a float, string or 0-d array does not) and, when ``least`` is given, at least
+    ``least``; else ValueError naming it ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 

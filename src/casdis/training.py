@@ -50,20 +50,19 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "lr_patience", "k", "d", "max_len", "seed"):
-            _integer(name, getattr(self, name))
-        if not 0 < self.lr_init < math.inf or self.batch_size < 1 or self.max_epochs < 0:  # also refuses NaN
-            raise ValueError("lr_init must be finite and positive, batch_size >= 1 and max_epochs >= 0")
+        for name, least in (("batch_size", 1), ("max_epochs", 0), ("patience", 1), ("lr_patience", 1), ("k", 1),
+                            ("d", 2), ("max_len", 2), ("seed", None)):
+            _integer(name, getattr(self, name), least)
+        if not 0 < self.lr_init < math.inf:  # also refuses NaN
+            raise ValueError(f"lr_init must be finite and positive, got {self.lr_init}")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         _check_dropout_rate(self.dropout_rate)
         GumbelConfig(tau=self.tau)  # the factor softmax's checks on tau
-        if self.patience < 1 or self.lr_patience < 1:
-            raise ValueError(f"patience and lr_patience must be >= 1, got {self.patience}, {self.lr_patience}")
+        if not isinstance(self.gumbel_enabled, (bool, np.bool_)):  # a truthy "off" would train with noise
+            raise ValueError(f"gumbel_enabled must be a bool, got {self.gumbel_enabled!r}")
         if not self.clip_norm >= 0:  # also refuses NaN
             raise ValueError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
-        if self.k < 1 or self.d < 2 or self.max_len < 2:
-            raise ValueError(f"need k >= 1, d >= 2 and max_len >= 2, got {self.k}, {self.d}, {self.max_len}")
 
 
 class NonFiniteGradientError(RuntimeError):

@@ -122,7 +122,7 @@ def test_batches_hold_the_cascades_in_order(cascades, batch_size, expect):
 
 
 def test_batches_reject_bad_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^batch_size must be >= 1,"):
         dt.make_batches([[0, 1]], batch_size=0)
 
 
@@ -221,6 +221,15 @@ def test_synth_spec_validation():
         with pytest.raises(ValueError):
             spec(**fields)
     assert dt.generate_synthetic(spec(communities=np.int64(2))) == dt.generate_synthetic(spec())
+    # an integer one below its least value is refused by its name ("communities, nodes_per_community
+    # and cascades must be positive" named all three), and the least value itself is accepted
+    for name, least in (("communities", 1), ("nodes_per_community", 1), ("cascades", 1)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least},"):
+            spec(**{name: least - 1})
+        spec(**{name: least})
+    with pytest.raises(ValueError, match="^length_range must be >= 2,"):
+        spec(length_range=(1, 5))
+    spec(length_range=(2, 2))
 
 
 def test_synth_write_files(tmp_path):

@@ -53,6 +53,8 @@ def test_rank_matches_sort_oracle():
 def test_rank_target_out_of_range():
     with pytest.raises(ValueError):
         ev.rank_of_target(np.zeros(3), 3)
+    with pytest.raises(ValueError, match="^target must be >= 0,"):
+        ev.rank_of_target(np.zeros(3), -1)
 
 
 def test_rank_target_must_be_an_integer():
@@ -87,7 +89,7 @@ def test_metrics_reject_empty():
         ev.map_at_n([], 10)
 
 
-BAD_CUTOFFS = [(True, "integer"), (2.5, "integer"), ("3", "integer"), (0, ">= 1"), (-3, ">= 1")]
+BAD_CUTOFFS = [(True, "integer"), (2.5, "integer"), ("3", "integer"), (0, "^n must be >= 1,"), (-3, "^n must be >= 1,")]
 
 
 @pytest.mark.parametrize("n, message", BAD_CUTOFFS, ids=["bool", "float", "string", "zero", "negative"])

@@ -421,6 +421,23 @@ def test_training_calls_refuse_a_dropout_rate_outside_zero_to_one(rate):
     assert all((p.grad == 0.0).all() for p in params.parameters())
 
 
+@pytest.mark.parametrize("batch, gumbel, rate, rng, message", [
+    ([[0], []], None, 1.5, RngState(1), "^dropout_rate must be in"),
+    ([[0]], None, 0.3, None, "^dropout requested but no rng given"),
+    ([[0]], md.GumbelConfig(), 0.0, None, "^gumbel noise requested but no rng given"),
+], ids=["rate", "dropout_rng", "gumbel_rng"])
+def test_training_calls_refuse_bad_noise_whatever_the_cascades(batch, gumbel, rate, rng, message):
+    # a batch with no prediction point never reached the checks, and batch_loss returned
+    # empty loss arrays; forward_cascade refuses the same noise, and without training ignores it
+    params = small_params(seed=20)
+    with pytest.raises(ValueError, match=message):
+        md.batch_loss(params, batch, 1.0, gumbel, rate, rng)
+    with pytest.raises(ValueError, match=message):
+        md.forward_cascade(params, [0, 1, 2], gumbel, training=True, dropout_rate=rate, dropout_rng=rng)
+    md.forward_cascade(params, [0, 1, 2], gumbel, training=False, dropout_rate=rate, dropout_rng=rng)
+    assert all((p.grad == 0.0).all() for p in params.parameters())
+
+
 # ---------------------------------------------------------------------------
 # the batch pipeline against the per-cascade path
 
@@ -703,6 +720,9 @@ def test_predict_validations():
         with pytest.raises(ValueError, match="n must be an integer"):
             md.predict_topn(params, [1, 2], n)
     assert len(md.predict_topn(params, [1, 2], np.int64(2))) == 2
+    with pytest.raises(ValueError, match="^n must be >= 0,"):
+        md.predict_topn(params, [1, 2], -1)
+    assert len(md.predict_topn(params, [1, 2], 0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +768,13 @@ def test_init_draws_prototypes_last():
     assert [m.prototypes.data.shape for m in models] == [(1, 6), (2, 6), (4, 6)]
 
 
-# (N, D, K) that a built or a loaded model refuses, and the size named in the refusal
+# (N, D, K) that a built or a loaded model refuses, and the refusal, which names the size
 BAD_SIZES = {
     "bool_nodes": ((True, 4, 2), "num_nodes"), "float_nodes": ((5.0, 4, 2), "num_nodes"),
-    "no_nodes": ((0, 4, 2), "num_nodes"), "string_dim": ((5, "4", 2), "dim"), "float_dim": ((5, 4.0, 2), "dim"),
-    "dim_1": ((5, 1, 2), "dim"), "bool_factors": ((5, 4, True), "factors"),
-    "float_factors": ((5, 4, 2.0), "factors"), "no_factors": ((5, 4, 0), "factors"),
+    "no_nodes": ((0, 4, 2), "num_nodes must be >= 1,"), "string_dim": ((5, "4", 2), "dim"),
+    "float_dim": ((5, 4.0, 2), "dim"), "dim_1": ((5, 1, 2), "dim must be >= 2,"),
+    "bool_factors": ((5, 4, True), "factors"), "float_factors": ((5, 4, 2.0), "factors"),
+    "no_factors": ((5, 4, 0), "factors must be >= 1,"),
 }
 
 
@@ -777,6 +798,8 @@ def test_load_checkpoint_refuses_bad_sizes_by_name(tmp_path, sizes, name):
 def test_init_params_takes_numpy_integer_sizes():
     params = md.init_params(np.int64(5), np.int32(4), np.uint8(2), RngState(0))
     assert (params.num_nodes, params.dim, params.factors) == (5, 4, 2)
+    smallest = md.init_params(1, 2, 1, RngState(0))  # each size at its least value
+    assert (smallest.num_nodes, smallest.dim, smallest.factors) == (1, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +850,17 @@ def test_save_checkpoint_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
     assert not path.exists()
     md.save_checkpoint(path, small_params(), np.int64(7))
     assert md.load_checkpoint(path)[1] == 7
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf], ids=str)
+def test_save_checkpoint_refuses_a_parameter_load_checkpoint_refuses(tmp_path, value):
+    # a NaN in w_z was written (1740 bytes) and only then refused, by load_checkpoint
+    params = small_params(num_nodes=5, dim=4, factors=2)
+    params.w_z.data[1, 2] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: parameter w_z holds a NaN or infinite value"):
+        md.save_checkpoint(path, params, seed=1)
+    assert not path.exists()
 
 
 def test_checkpoint_writes_are_byte_identical(tmp_path):

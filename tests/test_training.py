@@ -67,16 +67,33 @@ def test_configs_refuse_a_learning_rate_or_temperature_that_is_not_finite(build,
         build(value)
 
 
+# the least value of each lower-bounded integer field of TrainConfig
+CONFIG_LEAST = {"batch_size": 1, "max_epochs": 0, "patience": 1, "lr_patience": 1, "k": 1, "d": 2, "max_len": 2}
+
+
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 2.5), ("max_epochs", 2.5), ("patience", 1.5), ("lr_patience", 2.0), ("k", 2.0), ("k", True),
     ("d", 4.0), ("d", np.float64(4.0)), ("max_len", 5.5), ("seed", 1.5), ("seed", False),
-], ids=str)
+] + [(field, least - 1) for field, least in CONFIG_LEAST.items()], ids=str)
 def test_config_refuses_a_non_integer_in_an_integer_field(field, value):
     # a whole float or a bool would be used as an int, a fraction cut to one (seed) or fail
-    # only inside train with a TypeError
-    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+    # only inside train with a TypeError.  An integer one below its field's least value is
+    # refused by that field's name (batch_size 0 was refused as "lr_init must be finite and
+    # positive, batch_size >= 1 and max_epochs >= 0"), and the least value itself is accepted
+    below = type(value) is int
+    message = f">= {CONFIG_LEAST[field]}," if below else "an integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {message}"):
         tr.TrainConfig(**{field: value})
-    tr.TrainConfig(**{field: np.int64(int(value) + 2)})  # a numpy integer is accepted
+    tr.TrainConfig(**{field: np.int64(value + 1 if below else int(value) + 2)})  # a numpy integer is accepted
+
+
+@pytest.mark.parametrize("value", ["off", 1, None, np.float64(0.0)], ids=str)
+def test_config_refuses_a_gumbel_switch_that_is_not_a_bool(value):
+    # "off" is truthy, so it trained with Gumbel noise
+    with pytest.raises(ValueError, match="^gumbel_enabled must be a bool"):
+        tr.TrainConfig(gumbel_enabled=value)
+    for flag in (False, np.bool_(True)):
+        assert tr.TrainConfig(gumbel_enabled=flag).gumbel_enabled == flag
 
 
 @pytest.mark.parametrize("build", [lambda v: tr.TrainConfig(tau=v), lambda v: md.GumbelConfig(tau=v)],
