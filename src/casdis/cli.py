@@ -24,7 +24,7 @@ from .data import (
     split_dataset,
     write_synthetic,
 )
-from .evaluation import DEFAULT_N_VALUES, evaluate, format_report, report_csv_lines
+from .evaluation import DEFAULT_N_VALUES, _report_rows, evaluate, format_report, report_csv_lines
 from .model import load_checkpoint, save_checkpoint
 from .numerics import RngState
 from .training import TrainConfig, train, write_train_log
@@ -275,17 +275,15 @@ def cmd_ablate(config: dict) -> int:
     out_dir = _ensure_out_dir(dict({key: config[key] for key in config if key not in ("k", "d")}, **swept))
 
     split = _split(config, parsed.cascades)     # shared across all cells
-    header = ["k", "d"] + [f"hits@{n}" for n in n_values] + [f"map@{n}" for n in n_values]
-    rows = [",".join(header)]
+    rows = []
     for k, d, train_config in cells:
         result = train(train_config, split, parsed.vocabulary.size)
-        report = evaluate(result.params, split.test, n_values)
-        row = [str(k), str(d)]
-        row += [f"{report.hits[n]:.6f}" for n in n_values]
-        row += [f"{report.maps[n]:.6f}" for n in n_values]
-        rows.append(",".join(row))
+        report = _report_rows(evaluate(result.params, split.test, n_values))
+        rows.append(",".join([str(k), str(d)] + [f"{value:.6f}" for _, _, value in report]))
         print(rows[-1])
-    (out_dir / "ablation.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # one column per row of report.csv, named from the last cell's (there is at least one cell)
+    header = ["k", "d"] + [f"{metric}@{n}" if n else metric for metric, n, _ in report]
+    (out_dir / "ablation.csv").write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

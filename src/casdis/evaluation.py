@@ -1,20 +1,21 @@
-"""Ranking metrics over every prediction point of a cascade set.
+"""Ranking metrics and step loss over every prediction point of a cascade set.
 
-Each prefix of each test cascade is one retrieval query: score all candidate
-nodes, find the rank of the true next node, aggregate hits@N and map@N.  The
-cascade list is scored as one batch by ``model.batch_scores``, which wants no
-gradient and so builds no index of each candidate's best factor.  A rank is
-1 plus the count of nodes that score higher or tie the target at a lower index.
+Each prefix of each test cascade is one retrieval query: score all candidate nodes,
+then rank the true next node and take its step loss in nats, one row of ``point_table``.
+hits@N, map@N and nats per step, which validation's ``training.mean_step_loss`` also
+reads, reduce that table of one ``model.batch_scores`` batch, which builds no index of
+each candidate's best factor.  A rank is 1 plus the count of nodes that score higher
+or tie the target at a lower index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import ModelParams, batch_scores
+from .model import ModelParams, _step_losses, batch_scores
 from .numerics import _integer
 
 DEFAULT_N_VALUES = (10, 50, 100)
@@ -25,6 +26,7 @@ class EvalReport:
     hits: Dict[int, float]
     maps: Dict[int, float]
     prediction_points: int
+    nats_per_step: float
 
 
 def _ranks(scores: np.ndarray, targets) -> np.ndarray:
@@ -40,6 +42,8 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
     """1-based rank under the deterministic tie-break: equal scores are
     ordered by ascending node index (matching predict_topn)."""
     s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"scores must be 1-D, got shape {s.shape}")
     if _integer("target", target, 0) >= len(s):
         raise ValueError(f"target {target} out of range for {len(s)} scores")
     return int(_ranks(s[None], [target])[0])
@@ -66,42 +70,51 @@ def map_at_n(ranks: Sequence[int], n: int) -> float:
     return float(np.where(r <= n, 1.0 / r, 0.0).mean())
 
 
-def collect_ranks(params: ModelParams, cascades: Sequence[Sequence[int]]) -> List[int]:
-    """Target ranks for every prefix of every cascade, evaluation mode, under the
-    tie-break of ``rank_of_target``.  The list of cascades runs uncut as one ``batch_scores`` batch,
-    which hands out one cascade's (t, N) block at a time, ranked at once."""
-    all_ranks: List[int] = []
-    for row, scores in batch_scores(params, cascades):
-        all_ranks.extend(_ranks(scores, cascades[row][1:len(scores) + 1]).tolist())
-    return all_ranks
+@dataclass(frozen=True)
+class PointTable:
+    """One row per prediction point, in block order: the row of its cascade in the cascade
+    list, the 1-based rank of its target and its step loss in nats."""
+    cascade: np.ndarray
+    rank: np.ndarray
+    nats: np.ndarray
+
+    def nats_per_step(self) -> float:
+        """Each cascade's nats summed on their own, the sums added in block order, over the row count."""
+        if not len(self.nats):
+            raise ValueError("no prediction points (all cascades shorter than 2)")
+        parts = np.split(self.nats, np.flatnonzero(np.diff(self.cascade)) + 1)
+        return sum(float(part.sum()) for part in parts) / len(self.nats)
 
 
-def evaluate(
-    params: ModelParams,
-    cascades: Sequence[Sequence[int]],
-    n_values: Sequence[int] = DEFAULT_N_VALUES,
-) -> EvalReport:
-    """hits@N and map@N over all prediction points of ``cascades``, scored as one
-    batch by ``collect_ranks``; a node index out of range anywhere, or a cutoff N that
-    is not an integer >= 1, raises ValueError, the cutoffs before any scoring."""
-    if not cascades:
-        raise ValueError("evaluate needs a non-empty cascade list")
+def point_table(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> PointTable:
+    """The table of the ``(row, scores)`` pairs of ``blocks``, such as ``model.batch_scores``
+    yields: row i of the (t, N) ``scores`` scores the node after the first i+1 of ``cascades[row]``."""
+    rows, ranks, nats = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for row, scores in blocks:
+        targets = cascades[row][1:len(scores) + 1]
+        rows.append(np.full(len(scores), row, dtype=np.intp))
+        ranks.append(_ranks(scores, targets))
+        nats.append(_step_losses(scores, targets)[0])
+    return PointTable(*map(np.concatenate, (rows, ranks, nats)))
+
+
+def evaluate(params: ModelParams, cascades: Sequence[Sequence[int]],
+             n_values: Sequence[int] = DEFAULT_N_VALUES) -> EvalReport:
+    """hits@N, map@N and nats per step, reductions of the ``point_table`` of ``cascades``; a node
+    index out of range anywhere, no prediction point, or a cutoff N that is not an integer >= 1
+    raises ValueError, the cutoffs before any scoring."""
     for n in n_values:
         _integer("n", n, 1)
-    ranks = collect_ranks(params, cascades)
-    if not ranks:
-        raise ValueError("no prediction points (all cascades shorter than 2)")
-    return EvalReport(
-        hits={n: hits_at_n(ranks, n) for n in n_values},
-        maps={n: map_at_n(ranks, n) for n in n_values},
-        prediction_points=len(ranks),
-    )
+    table = point_table(batch_scores(params, cascades), cascades)
+    return EvalReport(nats_per_step=table.nats_per_step(),  # first, as the refusal of a table with no row
+                      hits={n: hits_at_n(table.rank, n) for n in n_values},
+                      maps={n: map_at_n(table.rank, n) for n in n_values}, prediction_points=len(table.rank))
 
 
 def _report_rows(report: EvalReport):
-    """(metric, N, value) of every hits@N by ascending N, then of every map@N."""
+    """(metric, N, value) of every hits@N by ascending N, then of every map@N, then of nats per step, N empty."""
     return [(metric, n, values[n]) for metric, values in (("hits", report.hits), ("map", report.maps))
-            for n in sorted(values)]
+            for n in sorted(values)] + [("nats", "", report.nats_per_step)]
 
 
 def format_report(report: EvalReport) -> str:

@@ -366,11 +366,13 @@ def _step_losses(scores: np.ndarray, targets):
     and the function of a weight g that gives g d(sum)/d(scores)."""
     steps = np.arange(len(targets))
     mx = scores.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(scores - mx).sum(axis=-1, keepdims=True)) + mx
+    shifted = scores - mx  # each exp runs in place on its (t, N) temporary
+    lse = np.log(np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)) + mx
     losses = lse[:, 0] - scores[steps, targets]
 
     def backward(g):
-        d_scores = np.exp(scores - lse) * g
+        d_scores = scores - lse
+        np.multiply(np.exp(d_scores, out=d_scores), g, out=d_scores)
         d_scores[steps, targets] -= g
         return d_scores
 

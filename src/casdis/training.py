@@ -2,10 +2,10 @@
 
 The batch objective is the mean step loss over every prediction step of the
 batch: one ``batch_loss`` call per batch adds 1/steps times the gradient of
-the summed step losses.  Validation takes the same step loss on the score
-blocks of ``batch_scores``.  ``train`` checks each cascade and cuts it to
-``max_len`` nodes once, before the first epoch; ``make_batches`` and
-``mean_step_loss`` take cascades as they are.
+the summed step losses.  Validation's ``mean_step_loss`` is the nats per step of
+``evaluation.point_table``, the table ``evaluate`` reduces.  ``train`` checks each
+cascade and cuts it to ``max_len`` nodes once, before the first epoch;
+``make_batches`` and ``mean_step_loss`` take cascades as they are.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import DatasetSplit, make_batches
+from .evaluation import point_table
 from .model import (
-    GumbelConfig, ModelParams, _check_dropout_rate, _node_indices, _step_losses, batch_loss, batch_scores, init_params,
+    GumbelConfig, ModelParams, _check_dropout_rate, _node_indices, batch_loss, batch_scores, init_params,
 )
 from .numerics import RngState, _integer
 
@@ -137,15 +138,10 @@ class TrainResult:
 
 
 def mean_step_loss(params: ModelParams, cascades) -> float:
-    """Evaluation-mode loss per step (no noise, no dropout) of the cascades as they are,
-    uncut: ``_step_losses`` on each (t, N) block of one ``batch_scores`` batch, whose
+    """Evaluation-mode loss per step (no noise, no dropout) of the cascades as they are, uncut:
+    the nats per step of their ``evaluation.point_table`` over one ``batch_scores`` batch, whose
     ``_chunks`` cuts its groups and chunks from the cascades' own lengths to bound the memory."""
-    losses = [_step_losses(scores, cascades[row][1:len(scores) + 1])[0]
-              for row, scores in batch_scores(params, cascades)]
-    steps = sum(len(x) for x in losses)
-    if steps == 0:
-        raise ValueError("no prediction points in cascade set")
-    return sum(float(x.sum()) for x in losses) / steps
+    return point_table(batch_scores(params, cascades), cascades).nats_per_step()
 
 
 def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResult:

@@ -317,7 +317,7 @@ def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
             "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     rows = (out / "ablation.csv").read_text().splitlines()
-    assert rows[0] == "k,d,hits@1,hits@3,hits@10,map@1,map@3,map@10"
+    assert rows[0] == "k,d,hits@1,hits@3,hits@10,map@1,map@3,map@10,nats"
     with open(data, encoding="utf-8") as fh:
         parsed = dt.parse_cascades(fh)
     split = dt.split_dataset(parsed.cascades, RngState.derive(TrainConfig.seed, "split").seed)
@@ -325,7 +325,7 @@ def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
     for k in (1, 2):
         result = train(TrainConfig(k=k, d=8, max_epochs=1, lr_init=0.05), split, parsed.vocabulary.size)
         report = evaluate(result.params, split.test, (1, 3, 10))
-        values = [report.hits[n] for n in (1, 3, 10)] + [report.maps[n] for n in (1, 3, 10)]
+        values = [report.hits[n] for n in (1, 3, 10)] + [report.maps[n] for n in (1, 3, 10)] + [report.nats_per_step]
         expect.append(",".join([str(k), "8"] + [f"{v:.6f}" for v in values]))
     assert rows[1:] == expect and expect[0][1:] != expect[1][1:]  # the two cells are told apart
     # the echo holds the lists swept, not the single k and d they default to

@@ -5,6 +5,7 @@ import pytest
 
 from casdis import evaluation as ev
 from casdis import model as md
+from casdis import training as tr
 from casdis.numerics import RngState
 
 from test_model import numpy_oracle
@@ -25,6 +26,11 @@ def brute_force_report(params, cascades, n_values=(10, 50, 100)):
     hits = {n: float(np.mean([r <= n for r in ranks])) for n in n_values}
     maps = {n: float(np.mean([1.0 / r if r <= n else 0.0 for r in ranks])) for n in n_values}
     return hits, maps, len(ranks), ranks
+
+
+def table_ranks(params, cascades):
+    """The rank column of the point table of the cascades, scored as one ``batch_scores`` batch."""
+    return ev.point_table(md.batch_scores(params, cascades), cascades).rank.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +70,13 @@ def test_rank_target_must_be_an_integer():
         with pytest.raises(ValueError, match="integer"):
             ev.rank_of_target(scores, target)
     assert ev.rank_of_target(scores, np.int64(1)) == 1
+
+
+@pytest.mark.parametrize("scores", [np.zeros((3, 4)), np.array(0.5), [[1.0, 2.0]]], ids=["2-D", "0-d", "one row"])
+def test_rank_refuses_scores_that_are_not_1d(scores):
+    # numpy's broadcast error, a TypeError and "target 1 out of range for 1 scores" before
+    with pytest.raises(ValueError, match=r"scores must be 1-D, got shape \("):
+        ev.rank_of_target(scores, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +160,7 @@ def test_evaluate_matches_brute_force(two_community_small):
     report = ev.evaluate(params, cascades)
     hits, maps, points, ranks = brute_force_report(params, cascades)
     assert report.prediction_points == points
-    assert ev.collect_ranks(params, cascades) == ranks
+    assert table_ranks(params, cascades) == ranks
     for n in (10, 50, 100):
         assert report.hits[n] == hits[n]
         assert report.maps[n] == maps[n]
@@ -170,7 +183,7 @@ def test_block_ranks_equal_rank_of_target_across_exact_ties():
             expect.append(ev.rank_of_target(row, target))
             tied += int((row[:target] == row[target]).any())
     assert tied >= 10
-    assert ev.collect_ranks(params, cascades) == expect
+    assert table_ranks(params, cascades) == expect
 
 
 def _prefix_ranks(params, cascades):
@@ -197,7 +210,7 @@ def test_batched_ranks_equal_prefix_scores_ranks_across_groups_and_chunks(monkey
     recurrence, head = md._recurrence, md._head
     monkeypatch.setattr(md, "_recurrence", lambda p, pos, *a: groups.append(len(pos)) or recurrence(p, pos, *a))
     monkeypatch.setattr(md, "_head", lambda p, hidden, *a: blocks.append(len(hidden)) or head(p, hidden, *a))
-    ranks = ev.collect_ranks(params, cascades)
+    ranks = table_ranks(params, cascades)
     assert groups == [5, 4, 1] and blocks == [5, 2, 2, 1]
     assert len(ranks) == sum(len(c) - 1 for c in cascades[1:])
     assert ranks == _prefix_ranks(params, cascades)
@@ -297,9 +310,47 @@ def test_uniform_random_scorer_hits_near_n_over_nodes():
 
 
 def test_report_formatting():
-    report = ev.EvalReport(hits={10: 0.5, 50: 0.75}, maps={10: 0.2, 50: 0.3}, prediction_points=8)
+    report = ev.EvalReport(hits={10: 0.5, 50: 0.75}, maps={10: 0.2, 50: 0.3}, prediction_points=8, nats_per_step=3.25)
     table = ev.format_report(report)
     assert "hits" in table and "map" in table and "0.7500" in table
+    assert table.splitlines()[-1].split() == ["nats", "3.2500", "8"]
     csv = ev.report_csv_lines(report)
     assert csv[0] == "metric,N,value,points"
     assert any(line.startswith("hits,10,") for line in csv)
+    assert csv[-1] == "nats,,3.2500000000,8"  # nats per step has no cutoff
+
+
+# ---------------------------------------------------------------------------
+# point_table
+
+
+def test_no_prediction_point_is_refused_once_for_evaluation_and_validation():
+    params = md.init_params(6, 4, 2, RngState(0))
+    for cascades in ([], [[3], []]):
+        for reduce in (ev.evaluate, tr.mean_step_loss):
+            with pytest.raises(ValueError, match="^no prediction points"):
+                reduce(params, cascades)
+
+
+def test_point_table_rows_follow_their_blocks():
+    # blocks from a count scorer, one short of a cascade's points and in no row order,
+    # and a cascade of one node, which no block scores
+    rng = np.random.default_rng(36)
+    cascades = [[0, 2, 1, 3], [4], [3, 3, 0]]
+    blocks = [(2, rng.normal(size=(2, 5))), (0, rng.normal(size=(2, 5)))]
+    table = ev.point_table(iter(blocks), cascades)
+    assert table.cascade.tolist() == [2, 2, 0, 0]
+    for (row, scores), got in zip(blocks, (slice(0, 2), slice(2, 4))):
+        targets = cascades[row][1:3]
+        assert table.rank[got].tolist() == [ev.rank_of_target(s, v) for s, v in zip(scores, targets)]
+        assert table.nats[got].tolist() == md._step_losses(scores, targets)[0].tolist()
+
+
+def test_nats_per_step_sums_each_cascade_on_its_own_then_adds_the_sums_in_order():
+    # eleven points of cascade 0 and two of cascade 1, whose mean a flat sum over the
+    # table, or numpy's reduceat (a plain running sum per cascade), rounds otherwise
+    nats = np.array([0.5, 1.6, 0.0, 3.0, 3.4, 0.6, 2.8, 3.3, 3.9, 3.4, 1.7, 3.9, 3.9])
+    table = ev.PointTable(cascade=np.repeat([0, 1], [11, 2]), rank=np.ones(13, dtype=np.intp), nats=nats)
+    want = (float(nats[:11].sum()) + float(nats[11:].sum())) / 13
+    assert table.nats_per_step() == want
+    assert want not in (float(nats.sum()) / 13, sum(np.add.reduceat(nats, [0, 11]).tolist()) / 13)

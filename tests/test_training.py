@@ -43,18 +43,21 @@ def test_reference_model_beats_a_first_order_markov_counter(two_community_run):
     for cascade in split.train + split.valid:
         np.add.at(counts, (cascade[:-1], cascade[1:]), 1.0)
     log_p = np.log(counts / counts.sum(axis=1, keepdims=True))
-    total, steps, hits = 0.0, 0, 0
-    for cascade in split.test:
-        scores, targets = log_p[cascade[:-1]], cascade[1:]
-        total += float(md._step_losses(scores, targets)[0].sum())
-        steps += len(targets)
-        hits += int(np.count_nonzero(ev._ranks(scores, targets) <= 10))
-    markov = total / steps
+    table = ev.point_table(((row, log_p[c[:-1]]) for row, c in enumerate(split.test) if len(c) >= 2), split.test)
+    markov = table.nats_per_step()
     model = tr.mean_step_loss(two_community_run["result"].params, split.test)
-    assert (hits, steps) == (521, 1135)
+    assert (int(np.count_nonzero(table.rank <= 10)), len(table.rank)) == (521, 1135)
     for name, got, want in (("model", model, 3.3444163416408426), ("markov", markov, 3.4245183393004126)):
         assert math.isclose(got, want, rel_tol=1e-9, abs_tol=0.0), (name, got, want)
     assert model < markov
+
+
+def test_evaluate_reports_the_validation_loss_of_its_split(two_community_run):
+    """Evaluation and validation reduce one point table, so the reference model's test
+    nats per step is one number to the last bit, the order of its sums included."""
+    got = two_community_run["report"].nats_per_step
+    assert got == tr.mean_step_loss(two_community_run["result"].params, two_community_run["split"].test)
+    assert got == 3.3444163416408426
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
