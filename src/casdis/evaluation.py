@@ -3,9 +3,9 @@
 Each prefix of each test cascade is one retrieval query: score all candidate nodes,
 then rank the true next node and take its step loss in nats, one row of ``point_table``.
 hits@N, map@N and nats per step, which validation's ``training.mean_step_loss`` also
-reads, reduce that table of one ``model.batch_scores`` batch, which builds no index of
-each candidate's best factor.  A rank is 1 plus the count of nodes that score higher
-or tie the target at a lower index.
+reads, reduce that table of one ``model.batch_scores`` batch (no index of each candidate's best factor).
+Its blocks are ranked and lossed in stacks of up to ``_TABLE_ELEMENTS`` = 2^14 scores.  A rank is 1
+plus the count of nodes that score higher or tie the target at a lower index.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .model import ModelParams, _step_losses, batch_scores
 from .numerics import _integer
 
 DEFAULT_N_VALUES = (10, 50, 100)
+_TABLE_ELEMENTS = 2 ** 14  # scores per _ranks call: some 400 rows at N=40; a block at N ~ 11k goes alone
 
 
 @dataclass
@@ -30,12 +31,14 @@ class EvalReport:
 
 
 def _ranks(scores: np.ndarray, targets) -> np.ndarray:
-    """1-based rank of ``targets[i]`` in row i of the (t, N) ``scores``: 1 plus the
-    count of nodes that score higher or tie it at a lower index."""
-    targets = np.asarray(targets)
+    """1-based rank of ``targets[i]`` (an array) in row i of the (t, N) ``scores``: 1 plus the count of nodes
+    that score higher or tie it at a lower index, the ties sought only on rows where another node ties it."""
     own = scores[np.arange(len(targets)), targets][:, None]
-    before = np.arange(scores.shape[1]) < targets[:, None]
-    return 1 + np.count_nonzero(scores > own, axis=1) + np.count_nonzero((scores == own) & before, axis=1)
+    ranks = 1 + np.count_nonzero(scores > own, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(scores == own, axis=1) > 1)  # a NaN target ties nothing
+    before = np.arange(scores.shape[1]) < targets[tied, None]
+    ranks[tied] += np.count_nonzero((scores[tied] == own[tied]) & before, axis=1)
+    return ranks
 
 
 def rank_of_target(scores: np.ndarray, target: int) -> int:
@@ -46,7 +49,7 @@ def rank_of_target(scores: np.ndarray, target: int) -> int:
         raise ValueError(f"scores must be 1-D, got shape {s.shape}")
     if _integer("target", target, 0) >= len(s):
         raise ValueError(f"target {target} out of range for {len(s)} scores")
-    return int(_ranks(s[None], [target])[0])
+    return int(_ranks(s[None], np.array([target]))[0])
 
 
 def hits_at_n(ranks: Sequence[int], n: int) -> float:
@@ -86,13 +89,41 @@ class PointTable:
         return sum(float(part.sum()) for part in parts) / len(self.nats)
 
 
-def point_table(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> PointTable:
-    """The table of the ``(row, scores)`` pairs of ``blocks``, such as ``model.batch_scores``
-    yields: row i of the (t, N) ``scores`` scores the node after the first i+1 of ``cascades[row]``."""
-    rows, ranks, nats = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+def _gathered(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]):
+    """Lists of consecutive checked ``blocks`` of up to ``_TABLE_ELEMENTS`` scores, flushed before a block that
+    would pass it and with one that reaches it: a block that large goes alone, before the next is scored."""
+    held, size, width = [], 0, None
     for row, scores in blocks:
-        targets = cascades[row][1:len(scores) + 1]
-        rows.append(np.full(len(scores), row, dtype=np.intp))
+        if scores.ndim != 2 or width not in (None, scores.shape[1]):
+            raise ValueError(f"the block of row {row} has shape {scores.shape}, not (t, {width or 'N'})")
+        width = scores.shape[1]
+        if not len(scores):
+            continue
+        if len(scores) >= len(cascades[row]):
+            raise ValueError(f"the block of row {row} has {len(scores)} rows for "
+                             f"{max(len(cascades[row]) - 1, 0)} prediction points")
+        if held and size + scores.size > _TABLE_ELEMENTS:
+            yield held
+            held, size = [], 0
+        held.append((row, scores))
+        size += scores.size
+        if size >= _TABLE_ELEMENTS:
+            yield held
+            held, size = [], 0
+    if held:
+        yield held
+
+
+def point_table(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> PointTable:
+    """The table of the ``(row, scores)`` pairs of ``blocks``, such as ``model.batch_scores`` yields: row i of
+    the (t, N) array ``scores`` scores the node after the first i+1 of ``cascades[row]``, in [0, N).  Blocks
+    share N and have at most their cascade's prediction points as rows, else ValueError naming the row; a (0, N)
+    block adds none.  Stacks of blocks (``_gathered``) are ranked and lossed at once, to the bits of one at a time."""
+    rows, ranks, nats = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for held in _gathered(blocks, cascades):
+        scores = held[0][1] if len(held) == 1 else np.concatenate([block for _, block in held])
+        targets = np.concatenate([cascades[row][1:len(block) + 1] for row, block in held])
+        rows.append(np.repeat([row for row, _ in held], [len(block) for _, block in held]))
         ranks.append(_ranks(scores, targets))
         nats.append(_step_losses(scores, targets)[0])
     return PointTable(*map(np.concatenate, (rows, ranks, nats)))

@@ -13,8 +13,9 @@ from test_model import numpy_oracle
 
 def brute_force_report(params, cascades, n_values=(10, 50, 100)):
     """Fully independent evaluator: recompute scores prefix by prefix with the
-    numpy oracle, rank by explicit sort, count by hand."""
-    ranks = []
+    numpy oracle, rank by explicit sort, count by hand, and take each point's
+    nats as the max-shifted logsumexp of its scores minus the target's score."""
+    ranks, nats = [], []
     for cascade in cascades:
         if len(cascade) < 2:
             continue
@@ -23,9 +24,11 @@ def brute_force_report(params, cascades, n_values=(10, 50, 100)):
             scores = all_scores[t - 1]
             order = sorted(range(len(scores)), key=lambda v: (-scores[v], v))
             ranks.append(order.index(cascade[t]) + 1)
+            top = max(scores)
+            nats.append(top + math.log(math.fsum(math.exp(s - top) for s in scores)) - scores[cascade[t]])
     hits = {n: float(np.mean([r <= n for r in ranks])) for n in n_values}
     maps = {n: float(np.mean([1.0 / r if r <= n else 0.0 for r in ranks])) for n in n_values}
-    return hits, maps, len(ranks), ranks
+    return hits, maps, len(ranks), ranks, math.fsum(nats) / len(nats)
 
 
 def table_ranks(params, cascades):
@@ -158,9 +161,10 @@ def test_evaluate_matches_brute_force(two_community_small):
     params = md.init_params(parsed.vocabulary.size, 6, 3, RngState(2))
     cascades = parsed.cascades[:20]
     report = ev.evaluate(params, cascades)
-    hits, maps, points, ranks = brute_force_report(params, cascades)
+    hits, maps, points, ranks, nats_per_step = brute_force_report(params, cascades)
     assert report.prediction_points == points
     assert table_ranks(params, cascades) == ranks
+    assert math.isclose(report.nats_per_step, nats_per_step, rel_tol=1e-12, abs_tol=0.0)
     for n in (10, 50, 100):
         assert report.hits[n] == hits[n]
         assert report.maps[n] == maps[n]
@@ -354,3 +358,108 @@ def test_nats_per_step_sums_each_cascade_on_its_own_then_adds_the_sums_in_order(
     want = (float(nats[:11].sum()) + float(nats[11:].sum())) / 13
     assert table.nats_per_step() == want
     assert want not in (float(nats.sum()) / 13, sum(np.add.reduceat(nats, [0, 11]).tolist()) / 13)
+
+
+def _two_mask_ranks(scores, targets):
+    """The rank rule with two full (t, N) masks on every row: 1 plus the nodes that score
+    higher, plus the nodes that tie the target at a lower index."""
+    own = scores[np.arange(len(targets)), targets][:, None]
+    before = np.arange(scores.shape[1]) < np.asarray(targets)[:, None]
+    return 1 + np.count_nonzero(scores > own, axis=1) + np.count_nonzero((scores == own) & before, axis=1)
+
+
+def _block_columns(blocks, cascades):
+    """The three columns computed one block at a time."""
+    parts = []
+    for row, scores in blocks:
+        if len(scores):
+            targets = np.array(cascades[row][1:len(scores) + 1])
+            parts.append((np.full(len(scores), row), ev._ranks(scores, targets), md._step_losses(scores, targets)[0]))
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def test_ranks_count_ties_only_where_the_target_ties():
+    # dyadic scores tie exactly.  Row 7 is all NaN and row 5's target is NaN: both rank 1
+    rng = np.random.default_rng(37)
+    scores = rng.integers(-2, 3, size=(60, 9)) / 4
+    scores[:20] = rng.normal(size=(20, 9))  # rows with no tie
+    scores[5, 3], scores[7] = np.nan, np.nan
+    targets = rng.integers(0, 9, size=60)
+    targets[5] = 3
+    ranks = ev._ranks(scores, targets)
+    assert np.array_equal(ranks, _two_mask_ranks(scores, targets))
+    assert ranks[5] == ranks[7] == 1
+    for i in range(8, 60):
+        order = sorted(range(9), key=lambda v: (-scores[i, v], v))
+        assert ranks[i] == order.index(targets[i]) + 1
+
+
+def test_point_table_gathers_blocks_up_to_its_budget_and_passes_a_large_block_uncopied(monkeypatch):
+    # N=10 and a budget of 60 scores, six rows: blocks below, at and above it, a large one after
+    # small ones, and a (0, N) block.  Dyadic scores make ties that span the gathered blocks
+    monkeypatch.setattr(ev, "_TABLE_ELEMENTS", 60)
+    rng = np.random.default_rng(38)
+    heights = [2, 3, 2, 6, 1, 1, 9, 3, 0, 3, 1]
+    cascades = [rng.integers(0, 10, size=t + 1 + (row % 2)).tolist() for row, t in enumerate(heights)]
+    blocks = [(row, rng.integers(-2, 3, size=(t, 10)) / 4) for row, t in enumerate(heights)]
+    events = []  # the row of each block as it is scored, and the scores of each _ranks call
+    ranks = ev._ranks
+    monkeypatch.setattr(ev, "_ranks", lambda scores, targets: events.append(scores) or ranks(scores, targets))
+
+    def scored():
+        for row, scores in blocks:
+            events.append(row)
+            yield row, scores
+
+    table = ev.point_table(scored(), cascades)
+    # flush before a block that would pass the budget, and right after one that reaches it,
+    # before the next block is scored
+    log = [event if isinstance(event, int) else f"rank {len(event)}" for event in events]
+    assert log == [0, 1, 2, "rank 5", 3, "rank 2", "rank 6", 4, 5, 6, "rank 2", "rank 9",
+                   7, 8, 9, "rank 6", 10, "rank 1"]
+    stacks = [event for event in events if not isinstance(event, int)]
+    assert stacks[2] is blocks[3][1] and stacks[4] is blocks[6][1]
+    for want, got in zip(_block_columns(blocks, cascades), (table.cascade, table.rank, table.nats)):
+        assert np.array_equal(want, got)
+    live = [(row, scores) for row, scores in blocks if len(scores)]
+    targets = np.concatenate([cascades[row][1:len(scores) + 1] for row, scores in live])
+    stacked = np.concatenate([scores for _, scores in live])
+    assert np.array_equal(table.rank, _two_mask_ranks(stacked, targets))
+    own = stacked[np.arange(len(targets)), targets][:, None]
+    assert np.count_nonzero((stacked == own).sum(axis=1) > 1) >= 20  # rows where another node ties the target
+
+
+def test_evaluate_ranks_many_small_blocks_in_few_calls(monkeypatch):
+    # 50 desk-sized cascades at N=40: a call per 2^14 scores, not one per cascade
+    params = md.init_params(40, 8, 2, RngState(39))
+    rng = np.random.default_rng(39)
+    cascades = [rng.integers(0, 40, size=n).tolist() for n in rng.integers(12, 37, size=50)]
+    calls = []
+    ranks = ev._ranks
+    monkeypatch.setattr(ev, "_ranks", lambda scores, targets: calls.append(len(scores)) or ranks(scores, targets))
+    report = ev.evaluate(params, cascades)
+    assert ev._TABLE_ELEMENTS == 2 ** 14 and sum(calls) == report.prediction_points
+    assert len(calls) <= math.ceil(report.prediction_points * 40 / 2 ** 14) + 1
+
+
+def test_point_table_adds_no_row_for_a_block_with_no_row():
+    # a count scorer's log_p[c[:-1]] for a cascade of one node, or of none, is a (0, N) block
+    rng = np.random.default_rng(40)
+    cascades = [[0, 2, 1], [4], [], [3, 3]]
+    blocks = [(0, rng.normal(size=(2, 5))), (1, np.empty((0, 5))), (2, np.empty((0, 5))), (3, rng.normal(size=(1, 5)))]
+    table = ev.point_table(iter(blocks), cascades)
+    assert table.cascade.tolist() == [0, 0, 3]
+    assert np.array_equal(table.rank, _block_columns(blocks, cascades)[1])
+
+
+@pytest.mark.parametrize("block, message", [
+    ((1, np.zeros((3, 5))), "the block of row 1 has 3 rows for 2 prediction points"),
+    ((2, np.zeros((1, 5))), "the block of row 2 has 1 rows for 0 prediction points"),
+    ((3, np.zeros((1, 5))), "the block of row 3 has 1 rows for 0 prediction points"),
+    ((1, np.zeros(5)), r"the block of row 1 has shape \(5,\), not \(t, 5\)"),
+    ((1, np.zeros((2, 6))), r"the block of row 1 has shape \(2, 6\), not \(t, 5\)"),
+], ids=["more rows than points", "a cascade of one node", "an empty cascade", "1-D", "another N"])
+def test_point_table_refuses_a_block_outside_its_contract_naming_its_row(block, message):
+    cascades = [[0, 1, 2], [3, 4, 0], [2], []]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ev.point_table(iter([(0, np.zeros((2, 5))), block]), cascades)
