@@ -108,7 +108,7 @@ class CliError(Exception):
 def read_config_file(path: str) -> dict:
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise CliError(EXIT_INPUT, f"cannot read config file {path}: {err}")
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -163,7 +163,7 @@ def _read_data(config: dict):
     if not path:
         raise CliError(EXIT_USAGE, "--data is required")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parsed = parse_cascades(fh)
     except OSError as err:
         raise CliError(EXIT_INPUT, f"cannot read cascade file {path}: {err}")
@@ -212,8 +212,8 @@ def cmd_eval(config: dict, given: dict) -> int:
     """Rank the test part of the split the checkpoint was trained on.
 
     Seed, K and D come from the checkpoint; a value given explicitly (flag
-    or config file) that disagrees with it is a mismatch, and so is data
-    whose node vocabulary differs from the one the checkpoint stores.
+    or config file) that disagrees with it is a mismatch.  Whether the data
+    fits the checkpoint (N and vocabulary) is ``load_checkpoint``'s to decide.
     """
     ckpt_path = config.get("checkpoint")
     if not ckpt_path:
@@ -226,11 +226,6 @@ def cmd_eval(config: dict, given: dict) -> int:
         raise CliError(EXIT_INPUT, f"cannot read checkpoint {ckpt_path}: {err}")
     except ValueError as err:
         raise CliError(EXIT_MISMATCH, str(err))
-    if params.num_nodes != parsed.vocabulary.size:
-        raise CliError(
-            EXIT_MISMATCH,
-            f"checkpoint expects N={params.num_nodes} nodes but data has N={parsed.vocabulary.size}",
-        )
     stored = {"seed": seed, "k": params.factors, "d": params.dim}
     for key, have in stored.items():
         if given.get(key, have) != have:

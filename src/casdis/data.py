@@ -1,16 +1,17 @@
 """Cascade file handling and the synthetic community generator.
 
-Cascade files are UTF-8 text: one cascade per line, whitespace-separated raw
-node ids in activation order, ``#`` lines ignored.  ``make_batches`` groups the
-parsed cascades into batches, each a plain list of cascades, and neither checks
-nor cuts them (``training.train`` does, once per run).  The synthetic generator
-produces diffusion traces over planted communities together with a
-node-to-community label sidecar.
+Cascade files are UTF-8 text, which the CLI reads past a byte order mark: one
+cascade per line, whitespace-separated raw node ids in activation order, ``#``
+lines ignored.  ``make_batches`` groups the parsed cascades into batches, each a
+plain list of cascades, and neither checks nor cuts them (``training.train``
+does, once per run).  The synthetic generator produces diffusion traces over
+planted communities together with a node-to-community label sidecar.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -43,18 +44,17 @@ class ParsedCascades:
     dropped_short: int
 
 
-def _check_token(token: str, line_no: int) -> None:
-    for ch in token:
-        if ord(ch) < 0x20 or ch == "\x7f":
-            raise ValueError(f"line {line_no}: malformed token {token!r}")
+# the control characters str.split() leaves in a token (it splits at \t-\r and \x1c-\x1f), and a byte order mark
+_MALFORMED = re.compile(r"[\x00-\x08\x0e-\x1b\x7f\ufeff]")
 
 
 def parse_cascades(lines: Iterable[str], dedupe: bool = False) -> ParsedCascades:
     """Parse a cascade stream into index sequences plus the vocabulary.
 
-    Cascades shorter than 2 nodes carry no prediction point and are dropped
-    (counted in ``dropped_short``).  ``dedupe`` keeps only the first
-    occurrence of a node within a cascade; by default repeats are kept.
+    Cascades shorter than 2 nodes carry no prediction point and are dropped (counted in
+    ``dropped_short``).  ``dedupe`` keeps only the first occurrence of a node within a
+    cascade; by default repeats are kept.  A control character or a U+FEFF byte order mark
+    (one scan per line) is a ValueError naming the line and the first token that holds it.
     """
     raw_cascades: List[List[str]] = []
     dropped = 0
@@ -63,8 +63,9 @@ def parse_cascades(lines: Iterable[str], dedupe: bool = False) -> ParsedCascades
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
-        for tok in tokens:
-            _check_token(tok, line_no)
+        if _MALFORMED.search(stripped):
+            token = next(tok for tok in tokens if _MALFORMED.search(tok))
+            raise ValueError(f"line {line_no}: malformed token {token!r}")
         if dedupe:
             tokens = list(dict.fromkeys(tokens))
         if len(tokens) < 2:

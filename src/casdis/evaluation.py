@@ -94,6 +94,8 @@ def _gathered(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Seque
     would pass it and with one that reaches it: a block that large goes alone, before the next is scored."""
     held, size, width = [], 0, None
     for row, scores in blocks:
+        if not 0 <= row < len(cascades):
+            raise ValueError(f"the block of row {row} names no row of the {len(cascades)} cascades")
         if scores.ndim != 2 or width not in (None, scores.shape[1]):
             raise ValueError(f"the block of row {row} has shape {scores.shape}, not (t, {width or 'N'})")
         width = scores.shape[1]
@@ -116,9 +118,9 @@ def _gathered(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Seque
 
 def point_table(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> PointTable:
     """The table of the ``(row, scores)`` pairs of ``blocks``, such as ``model.batch_scores`` yields: row i of
-    the (t, N) array ``scores`` scores the node after the first i+1 of ``cascades[row]``, in [0, N).  Blocks
-    share N and have at most their cascade's prediction points as rows, else ValueError naming the row; a (0, N)
-    block adds none.  Stacks of blocks (``_gathered``) are ranked and lossed at once, to the bits of one at a time."""
+    the (t, N) array ``scores`` scores the node after the first i+1 of ``cascades[row]``, in [0, N).  A block of
+    a row outside [0, len(cascades)), of another N or with more rows than its cascade's prediction points is a
+    ValueError naming the row; a (0, N) block adds none.  Ranking stacks of blocks (``_gathered``) moves no bit."""
     rows, ranks, nats = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     for held in _gathered(blocks, cascades):
         scores = held[0][1] if len(held) == 1 else np.concatenate([block for _, block in held])

@@ -527,8 +527,6 @@ def predict_topn(params: ModelParams, prefix: Sequence[int], n: int) -> np.ndarr
     if _integer("n", n, 0) > params.num_nodes:
         raise ValueError(f"n must be in [0, {params.num_nodes}], got {n}")
     neg = -_eval_scores(params, prefix, slice(-1, None))[0]
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
     kth = np.partition(neg, n - 1)[n - 1]
     cand = np.flatnonzero(neg <= kth)   # ascending node index
     return cand[np.argsort(neg[cand], kind="stable")][:n]
@@ -589,8 +587,8 @@ def load_checkpoint(path, vocabulary=None):
     Anything but an intact checkpoint raises ValueError: a wrong magic (format 1 included),
     truncation, a malformed header (a seed that is not a JSON integer, or sizes ``init_params``
     refuses, included), tensors renamed or shaped other than ``num_nodes``/``dim``/``factors``
-    imply, trailing bytes, or a NaN or infinite parameter.  So does a ``vocabulary`` whose digest
-    differs from the stored one; either side may be absent, and then nothing is compared.
+    imply, trailing bytes, or a NaN or infinite parameter.  It alone decides whether the checkpoint fits a given
+    ``vocabulary``: a digest other than a stored one, then a size other than ``num_nodes``, is a ValueError too.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -616,6 +614,8 @@ def load_checkpoint(path, vocabulary=None):
     given = _vocabulary_digest(vocabulary)
     if digest is not None and given is not None and digest != given:
         raise ValueError(f"{path}: the checkpoint was trained on a different node vocabulary")
+    if vocabulary is not None and vocabulary.size != num_nodes:
+        raise ValueError(f"{path}: checkpoint expects N={num_nodes} nodes but data has N={vocabulary.size}")
     expected = list(zip(_PARAM_NAMES, _param_shapes(num_nodes, dim, factors)))
     if specs != expected:
         raise ValueError(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import pytest
@@ -173,11 +174,44 @@ def test_eval_refuses_a_checkpoint_trained_on_other_ids(tmp_path):
     other = write_cascades(tmp_path / "other.txt", "m")
     with pytest.raises(ValueError, match="vocabulary"):
         md.load_checkpoint(workspace[2], other)
+    thirteen = dt.Vocabulary([f"n{i}" for i in range(NUM_NODES + 1)])  # the digest is compared before the size
+    with pytest.raises(ValueError, match="trained on a different node vocabulary$"):
+        md.load_checkpoint(workspace[2], thirteen)
     md.load_checkpoint(workspace[2])                   # nothing to compare against
 
 
 def test_eval_accepts_the_vocabulary_the_checkpoint_was_trained_on(tmp_path):
     assert run_eval(vocabulary_workspace(tmp_path, "n"))[0] == cli.EXIT_OK
+
+
+def test_load_checkpoint_refuses_data_of_another_size_naming_both(workspace, capsys):
+    # the workspace's checkpoint stores no vocabulary, so only the size can tell the data apart
+    tmp_path, data, ckpt = workspace
+    thirteen = dt.Vocabulary([f"n{i}" for i in range(NUM_NODES + 1)])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ckpt))}: checkpoint expects N=12 nodes but data has N=13$"):
+        md.load_checkpoint(ckpt, thirteen)
+    data.write_text("n12 n0\n" + data.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run_eval(workspace)[0] == cli.EXIT_MISMATCH
+    assert "checkpoint expects N=12 nodes but data has N=13" in capsys.readouterr().err
+
+
+def test_eval_reads_a_data_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # the checkpoint stores the vocabulary, so a BOM kept in the first id would be refused
+    workspace = vocabulary_workspace(tmp_path, "n")
+    _, data, ckpt = workspace
+    code, plain = run_eval(workspace)
+    assert code == cli.EXIT_OK
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    code, out = run_eval((tmp_path / "marked", marked, ckpt))
+    assert code == cli.EXIT_OK
+    assert (out / "report.csv").read_bytes() == (plain / "report.csv").read_bytes()
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    conf = tmp_path / "eval.conf"
+    conf.write_bytes(b"\xef\xbb\xbfseed=5\nk=2\n")
+    assert cli.read_config_file(str(conf)) == {"seed": 5, "k": 2}
 
 
 def test_train_stores_the_vocabulary_that_eval_checks(workspace):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,29 @@ def test_parse_vocab_counts_distinct_tokens():
 def test_parse_malformed_token_names_line():
     with pytest.raises(ValueError, match="line 2"):
         dt.parse_cascades(["a b\n", "ok\x01bad x\n"])
+
+
+def test_parse_refuses_a_byte_order_mark_decoded_into_the_first_id():
+    with pytest.raises(ValueError, match=r"^line 1: malformed token '\\ufeffa'$"):
+        dt.parse_cascades(["\ufeffa b\n"])
+
+
+# what str.split() leaves inside a token: C0 controls other than \t-\r and \x1c-\x1f, DEL, and U+FEFF
+_REFUSED = {*range(0x00, 0x09), *range(0x0E, 0x1C), 0x7F, 0xFEFF}
+
+
+@pytest.mark.parametrize("code", [*range(0x80), 0x85, 0xA0, 0x2028, 0xFEFF], ids=hex)
+def test_parse_refuses_exactly_the_characters_a_token_must_not_hold(code):
+    ch = chr(code)
+    line = f"x a{ch}b c{ch}d\n"
+    if code in _REFUSED:
+        with pytest.raises(ValueError, match=f"^line 1: malformed token {re.escape(repr(f'a{ch}b'))}$"):
+            dt.parse_cascades([line])
+    else:
+        parsed = dt.parse_cascades([line])
+        tokens = line.split()  # a whitespace character splits the token, any other stays in it
+        assert parsed.vocabulary.ids == list(dict.fromkeys(tokens))
+        assert parsed.cascades == [[parsed.vocabulary.index[t] for t in tokens]]
 
 
 def test_parse_dedupe_flag():

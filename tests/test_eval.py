@@ -458,7 +458,10 @@ def test_point_table_adds_no_row_for_a_block_with_no_row():
     ((3, np.zeros((1, 5))), "the block of row 3 has 1 rows for 0 prediction points"),
     ((1, np.zeros(5)), r"the block of row 1 has shape \(5,\), not \(t, 5\)"),
     ((1, np.zeros((2, 6))), r"the block of row 1 has shape \(2, 6\), not \(t, 5\)"),
-], ids=["more rows than points", "a cascade of one node", "an empty cascade", "1-D", "another N"])
+    ((-1, np.zeros((1, 5))), "the block of row -1 names no row of the 4 cascades"),
+    ((4, np.zeros((1, 5))), "the block of row 4 names no row of the 4 cascades"),
+], ids=["more rows than points", "a cascade of one node", "an empty cascade", "1-D", "another N",
+        "row -1", "the row past the last"])
 def test_point_table_refuses_a_block_outside_its_contract_naming_its_row(block, message):
     cascades = [[0, 1, 2], [3, 4, 0], [2], []]
     with pytest.raises(ValueError, match=f"^{message}$"):
