@@ -11,6 +11,7 @@ planted communities together with a node-to-community label sidecar.
 from __future__ import annotations
 
 import logging
+import numbers
 import re
 from dataclasses import dataclass, field
 from itertools import chain
@@ -133,8 +134,9 @@ class SyntheticSpec:
         for name, least in (("communities", 1), ("nodes_per_community", 1), ("cascades", 1), ("seed", None)):
             _integer(name, getattr(self, name), least)
         lo, hi = (_integer("length_range", end, 2) for end in self.length_range)
-        if not 0.0 <= self.cross_community_prob <= 1.0:
-            raise ValueError(f"cross_community_prob must be in [0,1], got {self.cross_community_prob}")
+        p = self.cross_community_prob
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"cross_community_prob must be a real number in [0,1], got {p!r}")
         if hi < lo:
             raise ValueError(f"length_range must satisfy min <= max, got {self.length_range}")
 
@@ -147,7 +149,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Tuple[List[List[str]], Dict[str, 
     ``cross_community_prob`` (when more than one exists), then infects a
     uniform not-yet-infected member of the current community.  An exhausted
     community forces a jump to one with nodes left when jumps are allowed,
-    otherwise the cascade ends early.  Deterministic per seed.
+    otherwise the cascade ends early.  Deterministic per seed.  A community's
+    pool of members left is built on the cascade's first visit to it, so a
+    cascade costs what it visits: O(m * communities visited + length).
     """
     rng = RngState(spec.seed)
     c, m = spec.communities, spec.nodes_per_community
@@ -158,8 +162,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Tuple[List[List[str]], Dict[str, 
     cascades: List[List[str]] = []
     for _ in range(spec.cascades):
         length = int(rng.integers(lo, hi + 1))
-        # per-community pool of still-uninfected members, swap-removed
-        pools = [list(range(com * m, (com + 1) * m)) for com in range(c)]
+        # per-community pool of still-uninfected members, swap-removed; None before the first visit
+        pools: List[List[int] | None] = [None] * c
         com = int(rng.integers(c))
         seq: List[int] = []
         while len(seq) < length:
@@ -167,14 +171,16 @@ def generate_synthetic(spec: SyntheticSpec) -> Tuple[List[List[str]], Dict[str, 
                 if c > 1 and rng.random() < spec.cross_community_prob:
                     hop = int(rng.integers(c - 1))
                     com = hop if hop < com else hop + 1
-            if not pools[com]:
-                if spec.cross_community_prob <= 0.0:
-                    break
-                alive = [k for k in range(c) if pools[k]]
-                if not alive:
-                    break
-                com = alive[int(rng.integers(len(alive)))]
             pool = pools[com]
+            if not pool:  # None: unvisited, so built below; []: exhausted, so a forced jump or the end
+                if pool is not None:
+                    if spec.cross_community_prob <= 0.0:
+                        break
+                    alive = [k for k in range(c) if pools[k] is None or pools[k]]
+                    if not alive:
+                        break
+                    com = alive[int(rng.integers(len(alive)))]
+                pool = pools[com] = pools[com] or list(range(com * m, (com + 1) * m))
             slot = int(rng.integers(len(pool)))
             node = pool[slot]
             pool[slot] = pool[-1]

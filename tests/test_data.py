@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -238,7 +239,8 @@ def test_synth_spec_validation():
     # a size or seed that is not an integer was taken: 2.5 communities failed later with a
     # TypeError, (2.5, 4) drew lengths from 2, True cascades gave one cascade and seed 1.5
     # generated seed 1's cascades
-    bad = [dict(cross_community_prob=1.5), dict(length_range=(1, 5)), dict(communities=0),
+    bad = [dict(cross_community_prob=1.5), dict(cross_community_prob=-0.1), dict(cross_community_prob=float("nan")),
+           dict(length_range=(1, 5)), dict(communities=0),
            dict(communities=2.5), dict(nodes_per_community=5.0), dict(cascades=True),
            dict(length_range=(2.5, 4)), dict(length_range=(4, "9")),
            dict(seed=1.5), dict(seed="7"), dict(seed=True)]
@@ -246,6 +248,9 @@ def test_synth_spec_validation():
         with pytest.raises(ValueError):
             spec(**fields)
     assert dt.generate_synthetic(spec(communities=np.int64(2))) == dt.generate_synthetic(spec())
+    assert dt.generate_synthetic(spec(cross_community_prob=np.float64(0.1))) == dt.generate_synthetic(spec())
+    for prob in (0, 1, np.float32(0.5)):
+        spec(cross_community_prob=prob)
     # an integer one below its least value is refused by its name ("communities, nodes_per_community
     # and cascades must be positive" named all three), and the least value itself is accepted
     for name, least in (("communities", 1), ("nodes_per_community", 1), ("cascades", 1)):
@@ -255,6 +260,57 @@ def test_synth_spec_validation():
     with pytest.raises(ValueError, match="^length_range must be >= 2,"):
         spec(length_range=(1, 5))
     spec(length_range=(2, 2))
+
+
+# SHA-256 of the cascade lines; the values depend on numpy's PCG64 ``Generator`` stream (numpy
+# 2.4.6 measured, as CI's valid_loss pins do), so a change that moves the data on purpose
+# updates them and says so
+PINNED_DIGESTS = [
+    ((2, 20, 0.1, 500, (12, 36), 1), "e9ec36ddd97324baad55a1bdabf5b78c3b7177fdb3509cc584377ad6c966a9d0"),
+    ((4, 100, 0.1, 40, (150, 200), 1), "e1437df95973b0364a16f3ec8a2d77a186c569c1a887b13a015ae7c1fbc65fc7"),
+    ((40, 300, 0.1, 1500, (12, 36), 1), "8e6c4bea296c30e70953005e616b9178b7306bfabad6b33c6d452a30267b1164"),
+    ((3, 4, 0.1, 300, (2, 30), 5), "2ccee103e3e4c5ce63c4fdb2b299cce8a60d7f8655eb1c26997b84de068550a4"),
+    ((3, 5, 0.0, 200, (2, 30), 5), "5580ea4e560e876643948af331aeaf465eb653751bc113a8a154cd76d9ecf938"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", PINNED_DIGESTS)
+def test_synth_output_is_pinned_bit_for_bit(fields, digest):
+    cascades, labels = dt.generate_synthetic(dt.SyntheticSpec(*fields))
+    text = "".join(" ".join(c) + "\n" for c in cascades)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    c, m = fields[:2]
+    assert labels == {f"n{i}": i // m for i in range(c * m)}
+
+
+def test_synth_forced_jumps_exhaust_every_community():
+    # every cascade asks for more than the 12 nodes, so each exhausted community forces a jump,
+    # often into one not yet visited, until every node is infected exactly once
+    cascades, _ = dt.generate_synthetic(spec(communities=3, nodes_per_community=4, length_range=(20, 30), cascades=100))
+    assert all(sorted(c) == sorted(f"n{i}" for i in range(12)) for c in cascades)
+
+
+def test_synth_without_jumps_ends_when_its_community_is_exhausted():
+    cascades, labels = dt.generate_synthetic(
+        spec(communities=3, nodes_per_community=5, cross_community_prob=0.0, length_range=(8, 10), cascades=100))
+    for c in cascades:
+        assert sorted(c) == sorted(node for node, com in labels.items() if com == labels[c[0]])
+
+
+def test_synth_forced_jump_lands_in_a_community_never_visited():
+    # a jump by chance has probability 1e-12 per step, so the only jump is the forced one
+    cascades, labels = dt.generate_synthetic(
+        spec(communities=2, nodes_per_community=3, cross_community_prob=1e-12, length_range=(6, 6), cascades=100))
+    for c in cascades:
+        first, second = {labels[v] for v in c[:3]}, {labels[v] for v in c[3:]}
+        assert len(c) == 6 and len(first) == len(second) == 1 and first != second
+
+
+@pytest.mark.parametrize("prob", [True, False, "0.5", None, 0.5j])
+def test_synth_refuses_a_cross_prob_that_is_not_a_real_number(prob):
+    # True was taken as probability 1, "0.5" and None failed later with a TypeError from <=
+    with pytest.raises(ValueError, match="^cross_community_prob must be"):
+        spec(cross_community_prob=prob)
 
 
 def test_synth_write_files(tmp_path):
