@@ -2,10 +2,10 @@
 
 Each prefix of each test cascade is one retrieval query: score all candidate nodes,
 then rank the true next node and take its step loss in nats, one row of ``point_table``.
-hits@N, map@N and nats per step, which validation's ``training.mean_step_loss`` also
-reads, reduce that table of one ``model.batch_scores`` batch (no index of each candidate's best factor).
-Its blocks are ranked and lossed in stacks of up to ``_TABLE_ELEMENTS`` = 2^14 scores.  A rank is 1
-plus the count of nodes that score higher or tie the target at a lower index.
+hits@N, map@N and nats per step reduce that table of one ``model.batch_scores`` batch (no index of
+each candidate's best factor).  Its blocks are ranked and lossed in stacks of up to ``_TABLE_ELEMENTS``
+= 2^14 scores; validation's ``training.mean_step_loss`` takes the same nats from ``nats_per_step``,
+which ranks none.  A rank is 1 plus the count of nodes that score higher or tie the target at a lower index.
 """
 
 from __future__ import annotations
@@ -83,10 +83,15 @@ class PointTable:
 
     def nats_per_step(self) -> float:
         """Each cascade's nats summed on their own, the sums added in block order, over the row count."""
-        if not len(self.nats):
-            raise ValueError("no prediction points (all cascades shorter than 2)")
-        parts = np.split(self.nats, np.flatnonzero(np.diff(self.cascade)) + 1)
-        return sum(float(part.sum()) for part in parts) / len(self.nats)
+        return _mean_by_cascade(self.cascade, self.nats)
+
+
+def _mean_by_cascade(cascade: np.ndarray, nats: np.ndarray) -> float:
+    """``PointTable.nats_per_step`` of the columns ``cascade`` and ``nats``."""
+    if not len(nats):
+        raise ValueError("no prediction points (all cascades shorter than 2)")
+    parts = np.split(nats, np.flatnonzero(np.diff(cascade)) + 1)
+    return sum(float(part.sum()) for part in parts) / len(nats)
 
 
 def _gathered(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]):
@@ -116,19 +121,34 @@ def _gathered(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Seque
         yield held
 
 
+def _stacks(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]):
+    """The cascade row of each point, the scores and the targets of each stack of ``_gathered``."""
+    for held in _gathered(blocks, cascades):
+        scores = held[0][1] if len(held) == 1 else np.concatenate([block for _, block in held])
+        targets = np.concatenate([cascades[row][1:len(block) + 1] for row, block in held])
+        yield np.repeat([row for row, _ in held], [len(block) for _, block in held]), scores, targets
+
+
 def point_table(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> PointTable:
     """The table of the ``(row, scores)`` pairs of ``blocks``, such as ``model.batch_scores`` yields: row i of
     the (t, N) array ``scores`` scores the node after the first i+1 of ``cascades[row]``, in [0, N).  A block of
     a row outside [0, len(cascades)), of another N or with more rows than its cascade's prediction points is a
     ValueError naming the row; a (0, N) block adds none.  Ranking stacks of blocks (``_gathered``) moves no bit."""
     rows, ranks, nats = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
-    for held in _gathered(blocks, cascades):
-        scores = held[0][1] if len(held) == 1 else np.concatenate([block for _, block in held])
-        targets = np.concatenate([cascades[row][1:len(block) + 1] for row, block in held])
-        rows.append(np.repeat([row for row, _ in held], [len(block) for _, block in held]))
+    for row, scores, targets in _stacks(blocks, cascades):
+        rows.append(row)
         ranks.append(_ranks(scores, targets))
         nats.append(_step_losses(scores, targets)[0])
     return PointTable(*map(np.concatenate, (rows, ranks, nats)))
+
+
+def nats_per_step(blocks: Iterable[Tuple[int, np.ndarray]], cascades: Sequence[Sequence[int]]) -> float:
+    """``point_table(blocks, cascades).nats_per_step()``, bit for bit, with no rank taken."""
+    rows, nats = [np.empty(0, np.intp)], [np.empty(0)]
+    for row, scores, targets in _stacks(blocks, cascades):
+        rows.append(row)
+        nats.append(_step_losses(scores, targets)[0])
+    return _mean_by_cascade(np.concatenate(rows), np.concatenate(nats))
 
 
 def evaluate(params: ModelParams, cascades: Sequence[Sequence[int]],

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .numerics import (
-    GUMBEL_EPS, Parameter, RngState, Tensor, _integer, dot_rows, gather_rows, layer_norm_rows, sigmoid,
+    GUMBEL_EPS, Parameter, RngState, Tensor, _ONE, _integer, dot_rows, gather_rows, layer_norm_rows, sigmoid,
     softmax_rows, unit_rows,
 )
 
@@ -218,17 +218,24 @@ def _recurrence(params: ModelParams, positions: np.ndarray, lengths: np.ndarray,
     # input transforms for every step at once: the update and reset gates as
     # one (B, L, 2D) block zr = [z | r], the candidate apart.  Each step runs one
     # recurrent GEMM and one sigmoid on its zr slice, then the candidate's tanh,
-    # all in place, as the recurrence walks the L steps with a (B, D) state
-    zr = xe @ np.hstack([params.w_z.data, params.w_r.data]) + np.hstack([params.b_z.data, params.b_r.data])
+    # all in place, as the recurrence walks the L steps with a (B, D) state.  The
+    # step's GEMMs are ndarray.dot, the bits of @ for less dispatch per call
+    w_zr = np.concatenate([params.w_z.data, params.w_r.data], axis=1)
+    zr = xe @ w_zr + np.concatenate([params.b_z.data, params.b_r.data])
     cand = xe @ params.w_h.data + params.b_h.data
-    u_zr, u_h = np.hstack([params.u_z.data, params.u_r.data]), params.u_h.data
+    u_zr, u_h = np.concatenate([params.u_z.data, params.u_r.data], axis=1), params.u_h.data
     hidden, h = np.empty((b, width, d)), np.zeros((b, d))
+    # step buffers, made once per call: the reset product r * h, then (1 - z) * h, and z * c
+    rh, zc = np.empty((b, d)), np.empty((b, d))
     for t in range(width):
         gates, c = zr[:, t], cand[:, t]
-        sigmoid(np.add(gates, h @ u_zr, out=gates), out=gates)
+        gates += h.dot(u_zr)
+        sigmoid(gates, out=gates)
         z, r = gates[:, :d], gates[:, d:]
-        np.tanh(np.add(c, (r * h) @ u_h, out=c), out=c)
-        h = hidden[:, t] = (1.0 - z) * h + z * c
+        c += np.multiply(r, h, out=rh).dot(u_h)
+        np.tanh(c, out=c)
+        np.multiply(np.subtract(_ONE, z, out=rh), h, out=rh)
+        h = np.add(rh, np.multiply(z, c, out=zc), out=hidden[:, t])
 
     def backward(d_hidden: np.ndarray) -> None:
         """Add the gradient of sum(d_hidden * hidden), dropout held fixed, into the grads;

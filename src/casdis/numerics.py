@@ -30,6 +30,11 @@ GUMBEL_EPS = 1e-12
 # layer_norm_rows adds this to each row's variance before the square root.
 LN_EPS = 1e-8
 
+# Read-only 0-d float64 zero and one for the GRU step's ufuncs on (B, D) rows: numpy
+# takes a 0-d array faster than it converts a Python float, and the bits are the same.
+_ZERO, _ONE = np.zeros(()), np.ones(())
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -119,11 +124,13 @@ def gather_rows(table: np.ndarray, idx) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
-    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
-    exp overflows; both branches share e = exp(-|x|).  Written into ``out``
-    when given, which may be ``x`` itself."""
+    """exp(min(x, 0)) / (1 + exp(-|x|)), so no exp overflows.  These are the bits of the
+    two-branch formula, 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below:
+    the numerator is exp(0) = 1 exactly on the first branch and exp(x) = exp(-|x|) on the
+    second, with no ``np.where`` to pick it.  Written into ``out`` when given, which may be
+    ``x`` itself."""
     e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    return np.divide(np.exp(np.minimum(x, _ZERO)), np.add(e, _ONE, out=e), out=out)
 
 
 def softmax_rows(logits):

@@ -3,9 +3,9 @@
 The batch objective is the mean step loss over every prediction step of the
 batch: one ``batch_loss`` call per batch adds 1/steps times the gradient of
 the summed step losses.  Validation's ``mean_step_loss`` is the nats per step of
-``evaluation.point_table``, the table ``evaluate`` reduces.  ``train`` checks each
-cascade and cuts it to ``max_len`` nodes once, before the first epoch;
-``make_batches`` and ``mean_step_loss`` take cascades as they are.
+``evaluation.point_table``, the table ``evaluate`` reduces, taken with no rank.
+``train`` checks each cascade and cuts it to ``max_len`` nodes once, before the
+first epoch; ``make_batches`` and ``mean_step_loss`` take cascades as they are.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .data import DatasetSplit, make_batches
-from .evaluation import point_table
+from .evaluation import nats_per_step
 from .model import (
     GumbelConfig, ModelParams, _check_dropout_rate, _node_indices, batch_loss, batch_scores, init_params,
 )
@@ -141,7 +141,7 @@ def mean_step_loss(params: ModelParams, cascades) -> float:
     """Evaluation-mode loss per step (no noise, no dropout) of the cascades as they are, uncut:
     the nats per step of their ``evaluation.point_table`` over one ``batch_scores`` batch, whose
     ``_chunks`` cuts its groups and chunks from the cascades' own lengths to bound the memory."""
-    return point_table(batch_scores(params, cascades), cascades).nats_per_step()
+    return nats_per_step(batch_scores(params, cascades), cascades)
 
 
 def train(config: TrainConfig, split: DatasetSplit, num_nodes: int) -> TrainResult:

@@ -360,6 +360,17 @@ def test_nats_per_step_sums_each_cascade_on_its_own_then_adds_the_sums_in_order(
     assert want not in (float(nats.sum()) / 13, sum(np.add.reduceat(nats, [0, 11]).tolist()) / 13)
 
 
+def test_validation_takes_the_nats_of_the_point_table_and_ranks_none(monkeypatch):
+    # cascades of 1 to 36 nodes at N=40, some 40k scores: several stacks, and cascades with no point
+    params = md.init_params(40, 8, 2, RngState(41))
+    rng = np.random.default_rng(41)
+    cascades = [rng.integers(0, 40, size=n).tolist() for n in rng.integers(1, 37, size=60)]
+    want = ev.point_table(md.batch_scores(params, cascades), cascades).nats_per_step()
+    monkeypatch.setattr(ev, "_ranks", lambda *args: pytest.fail("validation ranked a block"))
+    assert tr.mean_step_loss(params, cascades) == want
+    assert ev.nats_per_step(md.batch_scores(params, cascades), cascades) == want
+
+
 def _two_mask_ranks(scores, targets):
     """The rank rule with two full (t, N) masks on every row: 1 plus the nodes that score
     higher, plus the nodes that tie the target at a lower index."""

@@ -606,6 +606,25 @@ def test_bool_dropout_mask_scales_like_the_float_mask():
     assert np.array_equal(params.embeddings.grad[positions[real]], unmasked * mask[real])
 
 
+def _step_loop_recurrence(params, positions, lengths, rate, seed):
+    """The GRU states of ``_recurrence``, three gate GEMMs and two sigmoids per step, each a new array."""
+    xe = params.embeddings.data[positions]
+    if rate:
+        draws, mask = RngState(seed), np.zeros(xe.shape)
+        for i, t in enumerate(lengths):
+            mask[i, :t] = np.where(draws.random((t, params.dim)) >= rate, 1.0 / (1.0 - rate), 0.0)
+        xe *= mask
+    p = {name: q.data for name, q in params.named_parameters()}
+    z, r, cand = (xe @ p[f"w_{gate}"] + p[f"b_{gate}"] for gate in "zrh")
+    hidden, h = np.empty(xe.shape), np.zeros((len(lengths), params.dim))
+    for t in range(positions.shape[1]):
+        z[:, t] = sigmoid(z[:, t] + h @ p["u_z"])
+        r[:, t] = sigmoid(r[:, t] + h @ p["u_r"])
+        cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ p["u_h"])
+        h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
+    return hidden
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 @pytest.mark.parametrize("dim", [4, 32])
 def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
@@ -615,22 +634,30 @@ def test_recurrence_equals_a_step_loop_with_separate_gates(dim, rate):
     positions = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, pad, pad, pad], [2, pad, pad, pad, pad, pad]])
     lengths = np.array([6, 3, 1])
     got, _ = md._recurrence(params, positions, lengths, rate, RngState(8))
+    assert np.array_equal(got, _step_loop_recurrence(params, positions, lengths, rate, 8))
 
-    xe = params.embeddings.data[positions]
-    if rate:
-        draws, mask = RngState(8), np.zeros(xe.shape)
-        for i, t in enumerate(lengths):
-            mask[i, :t] = np.where(draws.random((t, dim)) >= rate, 1.0 / (1.0 - rate), 0.0)
-        xe *= mask
-    p = {name: q.data for name, q in params.named_parameters()}
-    z, r, cand = (xe @ p[f"w_{gate}"] + p[f"b_{gate}"] for gate in "zrh")
-    hidden, h = np.empty(xe.shape), np.zeros((len(lengths), dim))
-    for t in range(positions.shape[1]):
-        z[:, t] = sigmoid(z[:, t] + h @ p["u_z"])
-        r[:, t] = sigmoid(r[:, t] + h @ p["u_r"])
-        cand[:, t] = np.tanh(cand[:, t] + (r[:, t] * h) @ p["u_h"])
-        h = hidden[:, t] = (1.0 - z[:, t]) * h + z[:, t] * cand[:, t]
-    assert np.array_equal(got, hidden)
+
+@pytest.mark.parametrize("length", [1, 11, 150])
+def test_recurrence_of_one_prefix_equals_the_step_loop(length):
+    # the shapes of predict: one row, of a desk prefix and of a long one, at D=32
+    params = md.init_params(400, 32, 2, RngState(62))
+    positions = np.random.default_rng(62).integers(0, 400, size=(1, length))
+    got, _ = md._recurrence(params, positions, np.array([length]), 0.0, None)
+    assert np.array_equal(got, _step_loop_recurrence(params, positions, np.array([length]), 0.0, None))
+
+
+def test_recurrence_carries_nothing_from_one_call_to_the_next():
+    # calls on other rows, two of one shape, then each again, every result checked after the
+    # last call: each holds the bits of its own fresh step loop, so no buffer is shared or carried
+    params = md.init_params(400, 32, 2, RngState(63))
+    rng = np.random.default_rng(63)
+    pad = params.pad_index
+    calls = [(rng.integers(0, 400, size=(1, 11)), np.array([11])), (rng.integers(0, 400, size=(1, 11)), np.array([11])),
+             (np.array([[5, 9, 2, 7], [3, 3, pad, pad]]), np.array([4, 2]))]
+    got = [md._recurrence(params, positions, lengths, 0.0, None)[0] for positions, lengths in calls + calls]
+    fresh = [_step_loop_recurrence(params, positions, lengths, 0.0, None) for positions, lengths in calls]
+    for hidden, want in zip(got, fresh + fresh):
+        assert np.array_equal(hidden, want)
 
 
 def test_padded_batch_gradients_match_finite_differences():
@@ -672,6 +699,15 @@ def test_predict_matches_full_sort_oracle():
     expect = sorted(range(12), key=lambda v: (-scores[v], v))
     for n in range(13):
         assert md.predict_topn(params, prefix, n).tolist() == expect[:n]
+
+
+def test_predict_of_a_long_prefix_equals_the_stable_full_sort():
+    # a 150-node prefix at the long workload's N=400, K=2, D=32
+    params = md.init_params(400, 32, 2, RngState(64))
+    prefix = np.random.default_rng(64).integers(0, 400, size=150).tolist()
+    expect = np.argsort(-md.prefix_scores(params, prefix)[-1], kind="stable")
+    for n in (1, 10, 400):
+        assert md.predict_topn(params, prefix, n).tolist() == expect[:n].tolist(), n
 
 
 def test_last_row_scores_equal_the_last_prefix_row():
