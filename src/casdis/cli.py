@@ -10,6 +10,7 @@ named streams (split, init, gumbel, dropout, shuffle, synth).
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import sys
 from pathlib import Path
@@ -84,8 +85,7 @@ OPTIONS = (
     _train_option("lr_decay", "lr_decay_factor"),
     _train_option("clip_norm", "clip_norm"),
     Option("n_list", str, ",".join(map(str, DEFAULT_N_VALUES)), ("eval", "ablate")),
-    Option("k_list", str, commands=("ablate",)),
-    Option("d_list", str, commands=("ablate",)),
+    Option("grid", str, commands=("ablate",), help="keys to sweep, as 'k=1,2;d=8' (default k=<k>;d=<d>)"),
     Option("communities", int, 2, ("synth",)),
     Option("nodes_per_community", int, 20, ("synth",)),
     Option("cross_prob", float, 0.1, ("synth",)),
@@ -106,7 +106,7 @@ class CliError(Exception):
 
 
 def read_config_file(path: str) -> dict:
-    values = {}
+    values, line_of = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
@@ -122,13 +122,22 @@ def read_config_file(path: str) -> dict:
         option = _BY_NAME.get(key)
         if option is None:
             raise CliError(EXIT_USAGE, f"{path}:{line_no}: unknown config key {key!r}")
-        try:
-            values[key] = option.type(raw)
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"{path}:{line_no}: {key} needs a {option.type.__name__}, got {raw!r}")
-        if option.choices and values[key] not in option.choices:
-            raise CliError(EXIT_USAGE, f"{path}:{line_no}: {key} must be one of {option.choices}, got {raw!r}")
+        if key in line_of:
+            raise CliError(EXIT_USAGE, f"{path}:{line_no}: {key} is set again, first on line {line_of[key]}")
+        line_of[key] = line_no
+        values[key] = _typed(option, raw, f"{path}:{line_no}: ")
     return values
+
+
+def _typed(option: Option, raw: str, where: str):
+    """``raw`` as a value of ``option``; a bad one is a usage error prefixed by ``where``."""
+    try:
+        value = option.type(raw)
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"{where}{option.name} needs a {option.type.__name__}, got {raw!r}")
+    if option.choices and value not in option.choices:
+        raise CliError(EXIT_USAGE, f"{where}{option.name} must be one of {option.choices}, got {raw!r}")
+    return value
 
 
 def given_config(args: argparse.Namespace) -> dict:
@@ -185,9 +194,16 @@ def _train_config(config: dict) -> TrainConfig:
         raise CliError(EXIT_USAGE, f"invalid hyperparameters: {err}")
 
 
+_SPLIT_SEED = "seed"  # the key that seeds the split; a swept one varies only training
+
+
 def _split(config: dict, cascades):
-    split_seed = RngState.derive(config["seed"], "split").seed
+    split_seed = RngState.derive(config[_SPLIT_SEED], "split").seed
     return split_dataset(cascades, split_seed)
+
+
+def _aborted(result) -> bool:
+    return result.stopped.startswith("nan_gradient") or result.stopped == "diverged"
 
 
 def cmd_train(config: dict) -> int:
@@ -200,7 +216,7 @@ def cmd_train(config: dict) -> int:
     save_checkpoint(out_dir / "model.ckpt", result.params, config["seed"], parsed.vocabulary)
     write_train_log(out_dir / "train_log.csv", result.log)
 
-    if result.stopped.startswith("nan_gradient") or result.stopped == "diverged":
+    if _aborted(result):
         print(f"training aborted ({result.stopped}); best checkpoint written", file=sys.stderr)
         return EXIT_TRAINING
     best = f"{result.best_valid_loss:.4f}" if result.best_valid_loss is not None else "n/a"
@@ -259,27 +275,51 @@ def _int_list(raw: str, flag: str):
     return values
 
 
-def cmd_ablate(config: dict) -> int:
-    k_list = _int_list(config.get("k_list") or str(config["k"]), "--k-list")
-    d_list = _int_list(config.get("d_list") or str(config["d"]), "--d-list")
-    n_values = _int_list(config["n_list"], "--n-list")
-    cells = [(k, d, _train_config(dict(config, k=k, d=d))) for k in k_list for d in d_list]
-    parsed = _read_data(config)
-    # the echo names the lists swept, in place of the single k and d they default to
-    swept = {"k_list": ",".join(map(str, k_list)), "d_list": ",".join(map(str, d_list))}
-    out_dir = _ensure_out_dir(dict({key: config[key] for key in config if key not in ("k", "d")}, **swept))
+def _grid(raw: str) -> dict:
+    """The axes of ``raw`` (``key=v,v;key=v``), in the order given: each training key of
+    ``ablate`` to the tuple of its values."""
+    axes = {}
+    for axis in raw.split(";"):
+        key, _, values = axis.partition("=")
+        option = _BY_NAME.get(key.strip().replace("-", "_"))
+        if option is None or not option.field or "ablate" not in option.commands:
+            raise CliError(EXIT_USAGE, f"grid: {key.strip()!r} is not a training key of ablate")
+        if option.name in axes:
+            raise CliError(EXIT_USAGE, f"grid: {option.name} is swept twice")
+        axes[option.name] = tuple(_typed(option, value.strip(), "grid: ") for value in values.split(","))
+        if len(set(axes[option.name])) < len(axes[option.name]):
+            raise CliError(EXIT_USAGE, f"grid: {option.name} repeats a value in {values.strip()!r}")
+    return axes
 
-    split = _split(config, parsed.cascades)     # shared across all cells
-    rows = []
-    for k, d, train_config in cells:
+
+def cmd_ablate(config: dict) -> int:
+    raw = config.get("grid", f"k={config['k']};d={config['d']}")
+    axes = _grid(raw)
+    n_values = _int_list(config["n_list"], "--n-list")
+    # the cells of the axes' product, the last axis varying fastest
+    cells = [(values, _train_config(dict(config, **dict(zip(axes, values)))))
+             for values in itertools.product(*axes.values())]
+    parsed = _read_data(config)
+    # the echo holds the grid in place of the swept keys' single values, but the split's seed
+    kept = [key for key in config if key not in axes or key == _SPLIT_SEED]
+    out_dir = _ensure_out_dir(dict({key: config[key] for key in kept}, grid=raw))
+
+    split = _split(config, parsed.cascades)     # the run's own, shared across all cells
+    rows, aborted = [], []
+    for values, train_config in cells:
         result = train(train_config, split, parsed.vocabulary.size)
+        if _aborted(result):
+            cell = ",".join(f"{key}={value}" for key, value in zip(axes, values))
+            aborted.append(f"{cell}: {result.stopped}")
         report = _report_rows(evaluate(result.params, split.test, n_values))
-        rows.append(",".join([str(k), str(d)] + [f"{value:.6f}" for _, _, value in report]))
+        rows.append(",".join([str(value) for value in values] + [f"{value:.6f}" for _, _, value in report]))
         print(rows[-1])
-    # one column per row of report.csv, named from the last cell's (there is at least one cell)
-    header = ["k", "d"] + [f"{metric}@{n}" if n else metric for metric, n, _ in report]
+    # a column per swept key, then one per row of report.csv, named from the last cell's
+    header = list(axes) + [f"{metric}@{n}" if n else metric for metric, n, _ in report]
     (out_dir / "ablation.csv").write_text("\n".join([",".join(header)] + rows) + "\n", encoding="utf-8")
-    return EXIT_OK
+    for cell in aborted:
+        print(f"training aborted in cell {cell}; its row is written", file=sys.stderr)
+    return EXIT_TRAINING if aborted else EXIT_OK
 
 
 def cmd_synth(config: dict) -> int:
@@ -314,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     helps = {
         "train": "fit a model and write a checkpoint",
         "eval": "rank test cascades with a checkpoint",
-        "ablate": "sweep factor count and dimension",
+        "ablate": "train and evaluate one model per cell of a grid of training keys",
         "synth": "generate community-diffusion cascades",
     }
     for command, text in helps.items():

@@ -9,6 +9,7 @@ import pytest
 from casdis import cli
 from casdis import data as dt
 from casdis import model as md
+from casdis import training
 from casdis.evaluation import DEFAULT_N_VALUES, evaluate
 from casdis.numerics import RngState
 from casdis.training import TrainConfig, train
@@ -266,6 +267,16 @@ def test_bad_config_file_value_is_a_usage_error(workspace, capsys, line):
     assert not out.exists()
 
 
+def test_a_key_set_twice_in_a_config_file_is_a_usage_error(workspace, capsys):
+    tmp_path, data, _ = workspace
+    conf = tmp_path / "train.conf"
+    conf.write_text("k=2\nd=4\nk=3\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(conf), "--data", str(data), "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"{conf}:3: k is set again, first on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_refuse_what_config_files_refuse(workspace):
     tmp_path, data, _ = workspace
     with pytest.raises(SystemExit) as exc:
@@ -280,7 +291,7 @@ def test_flags_refuse_what_config_files_refuse(workspace):
     ("train", "tau", "0"),
     ("train", "dropout", "1.5"),
     ("train", "max-len", "1"),
-    ("ablate", "k-list", "0"),
+    ("ablate", "grid", "k=0"),
     ("train", "patience", "-1"),
     ("train", "lr-patience", "0"),
     ("train", "clip-norm", "-1"),
@@ -347,7 +358,7 @@ def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
     assert cli.main(argv) == cli.EXIT_OK
     data = synth / "cascades.txt"
     out = tmp_path / "ablate"
-    argv = ["ablate", "--k-list", "1,2", "--d", "8", "--epochs", "1", "--lr", "0.05", "--n-list", "1,3,10",
+    argv = ["ablate", "--grid", "k=1,2;d=8", "--epochs", "1", "--lr", "0.05", "--n-list", "1,3,10",
             "--data", str(data), "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
     rows = (out / "ablation.csv").read_text().splitlines()
@@ -362,14 +373,14 @@ def test_ablate_rows_are_the_evaluations_of_their_trained_cells(tmp_path):
         values = [report.hits[n] for n in (1, 3, 10)] + [report.maps[n] for n in (1, 3, 10)] + [report.nats_per_step]
         expect.append(",".join([str(k), "8"] + [f"{v:.6f}" for v in values]))
     assert rows[1:] == expect and expect[0][1:] != expect[1][1:]  # the two cells are told apart
-    # the echo holds the lists swept, not the single k and d they default to
+    # the echo holds the grid swept, not the single k and d it replaces
     lines = (out / "config.resolved").read_text().splitlines()
-    assert "k_list=1,2" in lines and "d_list=8" in lines
+    assert "grid=k=1,2;d=8" in lines
     assert not [line for line in lines if line.partition("=")[0] in ("k", "d")]
 
 
 def test_ablate_takes_its_default_lists_from_k_and_d(workspace):
-    # with no --k-list or --d-list, a config-file k= and a --d flag each sweep one value
+    # with no --grid, a config-file k= and a --d flag make the one cell of the grid k=<k>;d=<d>
     tmp_path, data, _ = workspace
     conf = tmp_path / "ablate.conf"
     conf.write_text("k=3\n", encoding="utf-8")
@@ -379,4 +390,93 @@ def test_ablate_takes_its_default_lists_from_k_and_d(workspace):
     assert cli.main(argv) == cli.EXIT_OK
     assert [row.split(",")[:2] for row in (out / "ablation.csv").read_text().splitlines()] == [["k", "d"], ["3", "4"]]
     lines = (out / "config.resolved").read_text().splitlines()
-    assert "k_list=3" in lines and "d_list=4" in lines
+    assert "grid=k=3;d=4" in lines
+    assert not [line for line in lines if line.partition("=")[0] in ("k", "d")]
+
+
+def run_ablate(workspace, grid, *extra):
+    tmp_path, data, _ = workspace
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--grid", grid, "--d", "4", "--epochs", "1", "--n-list", "5",
+            "--data", str(data), "--out", str(out), *extra]
+    return cli.main(argv), out
+
+
+# each grid ablate refuses, and the message that names its fault
+BAD_GRIDS = {
+    "nope=1": "'nope' is not a training key of ablate",
+    "out=x": "'out' is not a training key of ablate",
+    "data=x": "'data' is not a training key of ablate",
+    "n_list=5": "'n_list' is not a training key of ablate",
+    "checkpoint=x": "'checkpoint' is not a training key of ablate",
+    "communities=3": "'communities' is not a training key of ablate",
+    "grid=k=1": "'grid' is not a training key of ablate",
+    "k=1;d=8;": "'' is not a training key of ablate",
+    "k=1;k=2": "k is swept twice",
+    "d=4,4": "d repeats a value in '4,4'",
+    "k=": "k needs a int, got ''",
+    "k=1.5": "k needs a int, got '1.5'",
+    "gumbel=maybe": "gumbel must be one of ('on', 'off'), got 'maybe'",
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
+def test_a_bad_grid_exits_2_naming_its_key_before_any_output(workspace, capsys, grid):
+    code, out = run_ablate(workspace, grid)
+    assert code == cli.EXIT_USAGE
+    assert f"error: grid: {BAD_GRIDS[grid]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_cells_follow_the_axes_as_given_the_last_fastest(workspace):
+    code, out = run_ablate(workspace, "d=4,8;k=1,2")
+    assert code == cli.EXIT_OK
+    rows = [row.split(",") for row in (out / "ablation.csv").read_text().splitlines()]
+    assert rows[0] == ["d", "k", "hits@5", "map@5", "nats"]
+    assert [row[:2] for row in rows[1:]] == [["4", "1"], ["4", "2"], ["8", "1"], ["8", "2"]]
+
+
+def test_a_swept_switch_writes_its_on_off_values(workspace):
+    code, out = run_ablate(workspace, "gumbel=on,off")
+    assert code == cli.EXIT_OK
+    rows = [row.split(",") for row in (out / "ablation.csv").read_text().splitlines()]
+    assert [row[0] for row in rows] == ["gumbel", "on", "off"] and rows[1][1:] != rows[2][1:]
+
+
+def test_a_swept_seed_varies_training_on_the_base_seeds_split(workspace):
+    _, data, _ = workspace
+    assert split_test_points(3, data) not in (split_test_points(1, data), split_test_points(2, data))
+    code, out = run_ablate(workspace, "seed=1,2", "--seed", "3")
+    assert code == cli.EXIT_OK
+    with open(data, encoding="utf-8") as fh:
+        parsed = dt.parse_cascades(fh)
+    split = dt.split_dataset(parsed.cascades, RngState.derive(3, "split").seed)
+    expect = ["seed,hits@5,map@5,nats"]
+    for seed in (1, 2):
+        result = train(TrainConfig(seed=seed, d=4, max_epochs=1), split, parsed.vocabulary.size)
+        report = evaluate(result.params, split.test, (5,))
+        values = (report.hits[5], report.maps[5], report.nats_per_step)
+        expect.append(",".join([str(seed)] + [f"{v:.6f}" for v in values]))
+    assert (out / "ablation.csv").read_text().splitlines() == expect and expect[1][1:] != expect[2][1:]
+    # the split's seed is still the run's, so its line stays beside the grid
+    lines = (out / "config.resolved").read_text().splitlines()
+    assert "seed=3" in lines and "grid=seed=1,2" in lines
+
+
+def test_ablate_writes_every_row_and_exits_6_naming_an_aborted_cell(workspace, monkeypatch, capsys):
+    # the K=2 cell's third training batch poisons one gradient, as train's exit-6 test does
+    calls, batch_loss = [], training.batch_loss
+
+    def poisoned(params, batch, weight, *args):
+        losses = batch_loss(params, batch, weight, *args)
+        if params.factors == 2 and weight is not None:
+            calls.append(weight)
+            if len(calls) == 3:
+                params.u_h.grad[0, 0] = math.nan
+        return losses
+
+    monkeypatch.setattr(training, "batch_loss", poisoned)
+    code, out = run_ablate(workspace, "k=1,2;d=4", "--epochs", "3", "--batch-size", "8")
+    assert code == cli.EXIT_TRAINING
+    assert [row.split(",")[0] for row in (out / "ablation.csv").read_text().splitlines()] == ["k", "1", "2"]
+    assert "training aborted in cell k=2,d=4: nan_gradient:u_h; its row is written" in capsys.readouterr().err
