@@ -24,7 +24,8 @@ turns both off.  Tests pin the model to a numpy oracle and finite differences.
 Scoring (``_score_rows``) takes each candidate's best factor on the unscaled product
 and scales the (t, N) maximum once.  Only a call that wants a gradient (training,
 ``forward_cascade``) builds the index of that factor, held by its backward; evaluation,
-``prefix_scores``/``predict_topn`` and validation build none.
+``prefix_scores``/``predict_topn`` and validation build none.  The node table is stored
+column-major, so BLAS reads ``table.T`` in ``ys @ table.T`` as is, with no transposing pack.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class ModelParams:
     """All trainable state plus the shape hyperparameters.
 
     ``embeddings`` has ``num_nodes + 1`` rows: the extra final row is the
-    padding slot, which never appears in candidate scoring.
+    padding slot, which never appears in candidate scoring.  It is column-major, as are its
+    gradient and Adam moments, so scoring packs no transpose and adds contiguous columns.
     """
 
     num_nodes: int
@@ -115,14 +117,25 @@ class ModelParams:
             p.reset_gradient()
 
     def clone(self) -> "ModelParams":
-        return ModelParams.from_arrays({name: p.data.copy() for name, p in self.named_parameters()})
+        return ModelParams.from_arrays({name: p.data for name, p in self.named_parameters()})
 
     @staticmethod
     def from_arrays(arrays) -> "ModelParams":
-        """The model whose parameter ``name`` holds ``arrays[name]``, for each name in ``_PARAM_NAMES``;
-        N and D come from the (N + 1, D) ``embeddings``, K from the (K, D) ``prototypes``."""
+        """The model whose parameter ``name`` holds a float64 copy of ``arrays[name]`` (``embeddings``
+        column-major) for each name in ``_PARAM_NAMES``; N, D from the (N + 1, D) ``embeddings``, K from ``prototypes``."""
         (rows, dim), factors = arrays["embeddings"].shape, len(arrays["prototypes"])
-        return ModelParams(rows - 1, dim, factors, **{name: Parameter(arrays[name], name) for name in _PARAM_NAMES})
+        own = {name: np.array(arrays[name], np.float64) for name in _PARAM_NAMES if name != "embeddings"}
+        own["embeddings"] = _column_major(arrays["embeddings"])
+        return ModelParams(rows - 1, dim, factors, **{name: Parameter(own[name], name) for name in _PARAM_NAMES})
+
+
+def _column_major(table) -> np.ndarray:
+    """A float64 column-major copy of the 2-d ``table``.  numpy's own copy into F order reads a
+    row-major source down its columns; 64 rows at a time keep those reads in cache."""
+    out = np.empty(table.shape[::-1]).T
+    for start in range(0, len(table), 64):
+        out[start:start + 64] = table[start:start + 64]
+    return out
 
 
 def _check_sizes(num_nodes, dim, factors) -> None:
@@ -585,7 +598,7 @@ def save_checkpoint(path, params: ModelParams, seed: int, vocabulary=None) -> No
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
         for _, p in params.named_parameters():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())  # row-major, whatever the layout
 
 
 def load_checkpoint(path, vocabulary=None):
@@ -635,7 +648,7 @@ def load_checkpoint(path, vocabulary=None):
     arrays = {}
     for name, shape in expected:
         count = math.prod(shape)
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64).reshape(shape)
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
         offset += 8 * count
         if not np.isfinite(arrays[name]).all():
             raise ValueError(f"{path}: parameter {name} holds a NaN or infinite value")

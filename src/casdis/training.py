@@ -112,7 +112,8 @@ def adam_step(opt: OptimizerState, params: ModelParams) -> None:
 
 def clip_gradients(params: ModelParams, max_norm: float) -> float:
     """Scale all gradients to a global L2 norm of at most ``max_norm``, unless that is 0 or the norm is not finite."""
-    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.parameters()))
+    # squared in C order, so that each sum runs over the row-major sequence whatever the layout
+    total = math.sqrt(sum(float(np.multiply(p.grad, p.grad, order="C").sum()) for p in params.parameters()))
     if 0 < max_norm < total < math.inf:
         factor = max_norm / total
         for p in params.parameters():

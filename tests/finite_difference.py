@@ -15,22 +15,21 @@ def finite_difference_gradient(
     """Central-difference gradient of a deterministic scalar ``f`` w.r.t. every
     entry of every parameter: (f(p + h e) - f(p - h e)) / 2h.
 
-    Perturbation happens in place; original values are restored afterwards.
+    Perturbation happens in place, on ``p.data`` itself whatever its memory layout (a
+    reshape of a column-major array would be a copy); original values are restored afterwards.
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     estimates = []
     for p in params:
         grad = np.zeros_like(p.data)
-        flat_value = p.data.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for i in range(flat_value.size):
-            original = flat_value[i]
-            flat_value[i] = original + h
+        for i in np.ndindex(p.data.shape):
+            original = p.data[i]
+            p.data[i] = original + h
             f_plus = float(f())
-            flat_value[i] = original - h
+            p.data[i] = original - h
             f_minus = float(f())
-            flat_value[i] = original
-            flat_grad[i] = (f_plus - f_minus) / (2.0 * h)
+            p.data[i] = original
+            grad[i] = (f_plus - f_minus) / (2.0 * h)
         estimates.append(grad)
     return estimates

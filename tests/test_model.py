@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -875,6 +876,37 @@ def test_clone_and_loaded_checkpoint_own_writable_copies(tmp_path):
     assert path.read_bytes() == stored
     for p, want in zip(md.load_checkpoint(path)[0].parameters(), source):
         assert np.array_equal(p.data, want), p.name
+
+
+def _column_major_table(params):
+    """True iff the embedding table and its gradient are F-contiguous and not C-contiguous."""
+    return all(a.flags.f_contiguous and not a.flags.c_contiguous for a in (params.embeddings.data, params.embeddings.grad))
+
+
+def test_every_constructor_keeps_the_table_column_major(tmp_path):
+    # scoring multiplies the table's (D, N) transpose without packing it only in this layout
+    params = small_params(num_nodes=130, dim=5, factors=2, seed=27)
+    assert _column_major_table(params)
+    arrays = {name: np.ascontiguousarray(p.data) for name, p in params.named_parameters()}
+    assert arrays["embeddings"].flags.c_contiguous
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, params, seed=2)
+    for built in (md.ModelParams.from_arrays(arrays), params.clone(), md.load_checkpoint(path)[0]):
+        assert _column_major_table(built)
+        assert np.array_equal(built.embeddings.data, params.embeddings.data)
+        built.reset_gradients()
+        assert _column_major_table(built)
+    params.reset_gradients()
+    assert _column_major_table(params)
+
+
+def test_save_checkpoint_writes_the_table_row_major(tmp_path):
+    # the bytes written before the table was stored column-major; init_params draws only
+    # RNG values and runs no BLAS product that decides them, so they hold on any host
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, md.init_params(40, 32, 2, RngState(5)), seed=7)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "b4557d144296fdc9a8882caea6367cb4901a4cb75a5445b168495ec19930904a"
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", True], ids=["float", "string", "bool"])

@@ -297,6 +297,16 @@ def test_fd_of_square():
     assert abs(grad[0] - 6.0) < 1e-6
 
 
+def test_fd_of_sum_of_squares_on_a_column_major_parameter():
+    # a reshape of an F-ordered array is a copy: perturbing it left f unchanged, so every estimate read 0
+    x = np.arange(1.0, 13.0).reshape(3, 4)
+    p = Parameter(np.asfortranarray(x), "x")
+    assert p.data.flags.f_contiguous and not p.data.flags.c_contiguous
+    (grad,) = finite_difference_gradient(lambda: float((p.data ** 2).sum()), [p], h=1e-4)
+    np.testing.assert_allclose(grad, 2.0 * x, rtol=1e-8, atol=0)
+    assert np.array_equal(p.data, x)
+
+
 def test_fd_of_constant_function():
     p = Parameter(np.array([0.4, -1.2, 0.0]), "x")
     (grad,) = finite_difference_gradient(lambda: float(softmax(p.data).sum()), [p], h=1e-5)

@@ -312,7 +312,8 @@ def test_adam_step_refuses_a_non_finite_gradient_and_moves_no_parameter(poison):
 
 
 def _gradient_norm(params):
-    return math.sqrt(sum(float((p.grad ** 2).sum()) for p in params.parameters()))
+    """The global L2 norm, each gradient summed in row-major order (its bits on a C-ordered copy)."""
+    return math.sqrt(sum(float((np.ascontiguousarray(p.grad) ** 2).sum()) for p in params.parameters()))
 
 
 def test_clip_gradients_scales_a_larger_norm_down_to_max_norm():
@@ -324,6 +325,28 @@ def test_clip_gradients_scales_a_larger_norm_down_to_max_norm():
     assert math.isclose(_gradient_norm(params), 1.0, rel_tol=1e-12)
     for p, b in zip(params.parameters(), before):
         np.testing.assert_allclose(p.grad, b / norm, rtol=1e-12, atol=0)
+
+
+def test_clip_gradients_sums_a_column_major_gradient_in_row_major_order():
+    # the table's gradient is F-ordered; a sum of its squares in memory order moved the norm's last bit
+    params = md.init_params(200, 16, 2, RngState(2))
+    rng = np.random.default_rng(2)
+    shape = params.embeddings.grad.shape
+    table = np.asfortranarray(rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, size=shape))
+    for p in params.parameters():
+        p.grad = np.zeros_like(p.data)
+    params.embeddings.grad = table
+    row_major = math.sqrt(float((np.ascontiguousarray(table) ** 2).sum()))
+    assert row_major != math.sqrt(float((table * table).sum()))
+    assert tr.clip_gradients(params, 0.0) == row_major
+
+
+def test_adam_keeps_the_table_and_its_moments_column_major():
+    params = _params_with_gradients(43)
+    opt = tr.OptimizerState.for_params(params, lr=0.01)
+    tr.adam_step(opt, params)
+    for a in (params.embeddings.data, params.embeddings.grad, opt.m["embeddings"], opt.v["embeddings"]):
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
 
 
 @pytest.mark.parametrize("max_norm", [0.0, "norm", 1e6], ids=["off", "at-the-norm", "above-the-norm"])
